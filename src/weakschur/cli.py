@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_threads,
         default="1",
         metavar="K|auto",
-        help="worker limit; execution is sequential either way and 1 is the determinism reference",
+        help="accepted and validated for script compatibility; execution is always "
+             "sequential and every run is deterministic",
     )
 
     parser = argparse.ArgumentParser(
@@ -181,13 +182,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.seed:
-        try:
-            with open(args.seed, encoding="ascii") as fh:
-                seed = parse_partition(fh)
-        except OSError as e:
-            return _fail(args, EXIT_USAGE, f"cannot read {args.seed}: {e.strerror}")
-        except WspFormatError as e:
-            return _fail(args, EXIT_USAGE, str(e), line=e.line)
+        seed, err = _read_partition(args, args.seed)
+        if seed is None:
+            return err
     else:
         seed = base_partition()
     steps = args.s - seed.s

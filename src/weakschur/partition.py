@@ -241,17 +241,21 @@ class ConstructionTrace:
         }
 
 
-_HEADER_RE = re.compile(r"^s=(\d+) n=(\d+)$")
-_SUBSET_RE = re.compile(r"^(\d+):(.*)$")
+_HEADER_RE = re.compile(r"s=([0-9]+) n=([0-9]+)")
+_SUBSET_RE = re.compile(r"([0-9]+):(.*)")
+# element tokens: ASCII digits only, separated by spaces or tabs
+_ELEMENTS_RE = re.compile(r"[0-9 \t]*")
 
 
 def parse_partition(source: "str | IO[str]") -> Partition:
     """Parse canonical partition text into a validated Partition.
 
     Accepts a string or a text file object.  Blank and ``#`` lines are
-    skipped.  Raises WspFormatError with the offending line number on any
-    problem: bad header, malformed line, duplicate integer, element out of
-    range, empty subset, or incomplete coverage of 1..n.
+    skipped; elements are ASCII digits separated by spaces or tabs.
+    Raises WspFormatError with the offending line number on any problem:
+    bad header, an order the text is too short to cover, malformed line or
+    element, duplicate integer, element out of range, empty subset, or
+    incomplete coverage of 1..n.
     """
     text = source.read() if hasattr(source, "read") else source
     lines = [
@@ -272,34 +276,48 @@ def parse_partition(source: "str | IO[str]") -> Partition:
         raise WspFormatError(f"expected format header 'wsp {WSP_FORMAT_VERSION}'", no)
 
     header_no, line = next_line("header 's=<count> n=<order>'")
-    m = _HEADER_RE.match(line)
+    m = _HEADER_RE.fullmatch(line)
     if not m:
         raise WspFormatError("expected header 's=<count> n=<order>'", header_no)
-    s, n = int(m.group(1)), int(m.group(2))
+    try:
+        s, n = int(m.group(1)), int(m.group(2))
+    except ValueError:  # past int()'s digit limit, far beyond what the text holds
+        raise WspFormatError("header value too large", header_no) from None
     if s < 1:
         raise WspFormatError("subset count must be >= 1", header_no)
     if n < 1:
         raise WspFormatError("order must be >= 1", header_no)
+    if n > len(text):
+        # covering 1..n takes at least n digits; checked before sizing by n
+        raise WspFormatError(f"order {n} exceeds what {len(text)} characters can cover",
+                             header_no)
 
     seen = bytearray(n + 1)
     count = 0
     subsets = []
     for i in range(1, s + 1):
         no, line = next_line(f"subset line '{i}: ...'")
-        m = _SUBSET_RE.match(line)
+        m = _SUBSET_RE.fullmatch(line)
         if not m:
             raise WspFormatError(f"expected subset line '{i}: ...'", no)
-        if int(m.group(1)) != i:
-            raise WspFormatError(f"expected subset {i}, found {m.group(1)}", no)
+        label = m.group(1)
+        if label.lstrip("0") != str(i):  # int() would reject very long labels
+            raise WspFormatError(f"expected subset {i}, found {label}", no)
         tokens = m.group(2).split()
+        if not _ELEMENTS_RE.fullmatch(line, m.start(2)):
+            bad = next((t for t in tokens if not (t.isascii() and t.isdigit())), None)
+            if bad is None:
+                raise WspFormatError("elements must be separated by spaces or tabs", no)
+            raise WspFormatError(f"malformed element {bad!r}", no)
         if not tokens:
             raise WspFormatError(f"subset {i} is empty", no)
         elems = []
         for tok in tokens:
             try:
                 e = int(tok)
-            except ValueError:
-                raise WspFormatError(f"malformed element {tok!r}", no) from None
+            except ValueError:  # past int()'s digit limit
+                raise WspFormatError(f"element of {len(tok)} digits exceeds order {n}",
+                                     no) from None
             if e < 1:
                 raise WspFormatError(f"element {e} must be >= 1", no)
             if e > n:

@@ -9,6 +9,7 @@ can convict the other of a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .intset import IntSet, bit_positions
 from .partition import (
@@ -85,20 +86,38 @@ def weak_violations(S: IntSet, *, first_only: bool = False) -> list[Violation]:
 
     For positive integers a != b forces a+b distinct from both, so
     enumerating a < b is exactly the no-three-distinct-members criterion.
-    Bit k of ``mask & (mask >> a)`` says k and k+a are both members, one
-    word-parallel probe per candidate a.  Only a with 2a < max(S) can open
-    a triple, which keeps the probe count low on sets whose small elements
-    are few.
+    Bit k of ``mask & (mask >> a)`` says k and k+a are both members.  Only
+    a with 2a < max(S) can open a triple; these candidates are probed one
+    of two ways, with identical results:
+
+    * per element: one full-width probe per candidate a;
+    * per run: one probe per run [lo, hi] of consecutive candidates,
+      ``(smear(mask, hi-lo+1) >> lo) & mask`` above lo.  It is zero when
+      no a in the run has a partner b > a, so the run is cleared; when it
+      is not (a triple, or just a double a + a), that run alone is
+      re-probed per element, so the list stays exhaustive and in order.
+
+    A run probe costs about log2(run length) + 3 big-int operations, an
+    element probe about 3.  Runs are used when runs * (log2(candidates /
+    runs) + 3) is below the candidate count: construction outputs, a few
+    long runs, take that path; scattered sets keep the per-element loop.
     """
-    out: list[Violation] = []
-    top = S.max
-    if top is None:
-        return out
+    elems = S.elements
+    if not elems:
+        return []
     m = S.mask
-    half = (top - 1) >> 1  # need some b > a with a + b <= top
-    for a in S.elements:
-        if a > half:
-            break
+    low = m & ((2 << ((elems[-1] - 1) >> 1)) - 1)  # the candidates a <= (max-1)/2
+    probes = low.bit_count()
+    runs = (low & ~(low << 1)).bit_count()
+    if runs and runs * ((probes // runs).bit_length() + 3) < probes:
+        return _weak_by_runs(m, low, first_only)
+    return _weak_by_elements(m, elems[:probes], first_only)
+
+
+def _weak_by_elements(m: int, operands: Iterable[int], first_only: bool) -> list[Violation]:
+    """Exact per-element probe of each ascending operand a against mask m."""
+    out: list[Violation] = []
+    for a in operands:
         pair = (m >> a) & m & (-1 << (a + 1))
         if pair:
             if first_only:
@@ -107,6 +126,32 @@ def weak_violations(S: IntSet, *, first_only: bool = False) -> list[Violation]:
             out.extend(
                 Violation("weak-sum", None, (a, b, a + b)) for b in bit_positions(pair)
             )
+    return out
+
+
+def _weak_by_runs(m: int, low: int, first_only: bool) -> list[Violation]:
+    """One probe per run of consecutive bits of ``low`` (operands drawn
+    from mask m); runs that light it are re-enumerated per element."""
+    out: list[Violation] = []
+    starts = bit_positions(low & ~(low << 1))
+    ends = bit_positions(low & ~(low >> 1))
+    for lo, hi in zip(starts, ends):
+        if (_smear(m, hi - lo + 1) >> lo) & m & (-1 << (lo + 1)):
+            out += _weak_by_elements(m, range(lo, hi + 1), first_only)
+            if first_only and out:
+                break
+    return out
+
+
+def _smear(m: int, length: int) -> int:
+    """OR of ``m >> k`` for 0 <= k < length, by shift-doubling: bit j is
+    set iff m has a bit in [j, j + length)."""
+    out, width = m, 1
+    while 2 * width <= length:
+        out |= out >> width
+        width *= 2
+    if width < length:
+        out |= out >> (length - width)
     return out
 
 

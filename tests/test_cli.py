@@ -84,6 +84,16 @@ def test_generate_rejects_unusable_seed(tmp_path, capsys):
     assert "cannot extend" in err
 
 
+@pytest.mark.parametrize("command", [("generate", "--s", "4", "--seed"), ("verify",)])
+def test_non_ascii_seed_file_exits_two(tmp_path, capsys, command):
+    seed = tmp_path / "seed.wsp"
+    seed.write_bytes("wsp 1\ns=1 n=2\n1: 1 \u0662\n".encode("utf-8"))
+    code, out, err = run(capsys, *command, str(seed))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {seed} is not ASCII text\n"
+
+
 def test_generate_trace_json(capsys):
     code, out, _ = run(capsys, "generate", "--s", "5", "--trace", "--json")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -109,6 +110,43 @@ def test_parse_malformed_element():
         parse_partition("wsp 1\ns=1 n=1\n1: x\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0662", "+2", "2\u00b2"])
+def test_parse_rejects_non_ascii_digit_tokens(token):
+    # int() alone would read '1_0' as 10 and the Arabic-Indic digit as 2
+    with pytest.raises(WspFormatError, match="malformed element") as e:
+        parse_partition(f"wsp 1\ns=1 n=10\n1: 1 {token} 3 4 5 6 7 8 9 10\n")
+    assert e.value.line == 3
+
+
+def test_parse_rejects_non_ascii_header_digits():
+    with pytest.raises(WspFormatError, match="expected header"):
+        parse_partition("wsp 1\ns=\u0661 n=2\n1: 1 2\n")
+
+
+def test_parse_separators_are_spaces_or_tabs():
+    assert parse_partition("wsp 1\ns=1 n=2\n1:\t1 \t 2\n") == parse_partition(MINIMAL_TEXT)
+    with pytest.raises(WspFormatError, match="separated by spaces or tabs"):
+        parse_partition("wsp 1\ns=1 n=2\n1: 1\u00a02\n")
+
+
+def test_parse_rejects_order_beyond_text_before_allocating():
+    text = "wsp 1\ns=1 n=100000000\n1: 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(WspFormatError, match="exceeds what") as e:
+            parse_partition(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.value.line == 2
+    assert peak < 1_000_000
+
+
+def test_parse_rejects_header_past_int_digit_limit():
+    with pytest.raises(WspFormatError, match="too large"):
+        parse_partition(f"wsp 1\ns=1 n={'9' * 5000}\n1: 1\n")
+
+
 def test_parse_element_out_of_range():
     with pytest.raises(WspFormatError, match="element 5 exceeds order 2"):
         parse_partition("wsp 1\ns=1 n=2\n1: 1 2 5\n")
@@ -208,3 +246,47 @@ def test_round_trip_identity_property(p):
 @given(random_partitions())
 def test_random_valid_partitions_have_no_structural_violations(p):
     assert well_formed_violations(p) == []
+
+
+# --- parser fuzzing: any text is a Partition or a WspFormatError ----------
+
+_WSP_PIECES = st.sampled_from(
+    ["wsp 1", "s=", "n=", ":", " ", "\t", "\n", "\r\n", "#", "0", "1", "2", "3", "9",
+     "21", "_", "-", "+", "\u0662", "\u00a0", "\x0b", "\ufeff", "x", "99999"]
+)
+
+
+def _assert_partition_or_format_error(text):
+    try:
+        p = parse_partition(text)
+    except WspFormatError as e:
+        assert e.line is None or e.line >= 1
+    else:
+        assert isinstance(p, Partition)
+        assert well_formed_violations(p) == []
+        assert parse_partition(serialize_partition(p)) == p
+
+
+@given(st.text())
+def test_parse_fuzz_arbitrary_text(text):
+    _assert_partition_or_format_error(text)
+
+
+@given(st.lists(_WSP_PIECES, max_size=40).map("".join))
+def test_parse_fuzz_wsp_like_text(body):
+    _assert_partition_or_format_error("wsp 1\ns=1 n=3\n" + body)
+    _assert_partition_or_format_error("wsp 1\n" + body)
+
+
+@given(st.data())
+def test_parse_fuzz_mutated_base(data):
+    text = list(BASE_TEXT)
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        piece = data.draw(_WSP_PIECES)
+        if op == "insert":
+            text[i:i] = piece
+        elif i < len(text):
+            text[i:i + 1] = piece if op == "replace" else ""
+    _assert_partition_or_format_error("".join(text))

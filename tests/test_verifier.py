@@ -1,22 +1,27 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakschur import (
     ConditionSet,
     IntSet,
     Partition,
+    Violation,
     base_partition,
     condition2_violations,
     condition3_violations,
     construct_step,
+    iterate,
     strong_violations,
     verify,
     weak_violations,
     weak_violations_naive,
 )
+from weakschur import verifier
+from weakschur.intset import bit_positions
 
 small_sets = st.lists(st.integers(min_value=1, max_value=400), max_size=60)
 
@@ -245,3 +250,114 @@ def test_equivalence_on_random_dense_sets():
         k = rng.randint(0, 120)
         s = IntSet(rng.sample(range(1, 2001), k))
         assert triples(weak_violations(s)) == triples(weak_violations_naive(s))
+
+
+# --- run-wise probes against the per-element probe and the naive scan ----
+
+
+@st.composite
+def run_unions(draw):
+    """Unions of integer intervals, the shape construction outputs have,
+    with the cases the run probe must get right planted on purpose."""
+    top = draw(st.integers(min_value=3, max_value=600))
+    elems = set()
+    for lo, length in draw(st.lists(st.tuples(st.integers(1, top), st.integers(0, 80)),
+                                    max_size=8)):
+        elems.update(range(lo, min(lo + length, top) + 1))
+    elems.update(draw(st.lists(st.integers(1, top), max_size=6)))  # singleton runs
+    half = (top - 1) // 2
+    if draw(st.booleans()):  # a run crossing (max-1)/2
+        width = draw(st.integers(0, 40))
+        elems.update(range(max(1, half - width), half + width + 1))
+        elems.add(top)
+    if draw(st.booleans()):  # a run [a, 2a]: its only sum inside is the double a+a
+        a = draw(st.integers(1, max(1, top // 2)))
+        elems.update(range(a, 2 * a + 1))
+    if draw(st.booleans()):  # a true triple
+        a = draw(st.integers(1, max(1, half)))
+        b = draw(st.integers(a + 1, max(a + 1, top - a)))
+        elems.update((a, b, a + b))
+    return IntSet(elems)
+
+
+def operand_mask(S):
+    """Members a of S with 2a < max(S): the operands that can open a triple."""
+    return IntSet(a for a in S if 2 * a < S.max).mask
+
+
+def both_paths(S, first_only=False):
+    """(run path, per-element path) over S's candidate operands."""
+    if not S:
+        return [], []
+    low = operand_mask(S)
+    return (verifier._weak_by_runs(S.mask, low, first_only),
+            verifier._weak_by_elements(S.mask, bit_positions(low), first_only))
+
+
+@settings(deadline=None)  # the naive O(|S|^2) scan dominates
+@given(run_unions())
+def test_run_path_equals_element_path_and_naive(S):
+    by_runs, by_elements = both_paths(S)
+    naive = weak_violations_naive(S)
+    assert by_runs == by_elements == naive == weak_violations(S)
+
+
+@settings(deadline=None)  # the naive O(|S|^2) scan dominates
+@given(run_unions())
+def test_run_path_first_only_equal(S):
+    first_runs, first_elements = both_paths(S, first_only=True)
+    assert first_runs == first_elements == weak_violations(S, first_only=True)
+    assert first_runs == weak_violations_naive(S)[:1]
+
+
+@settings(deadline=None)  # the naive O(|S|^2) scan dominates
+@given(run_unions(), st.integers(min_value=0, max_value=3))
+def test_condition3_on_run_unions(S, extra):
+    assume(S)
+    n = S.max + extra
+    rest = IntSet(range(1, n + 1)).mask & ~S.mask
+    p = Partition((S, IntSet.from_mask(rest)) if rest else (S,), n)
+    expected = [replace(v, kind="condition3-sumfree", subset_index=1)
+                for v in weak_violations_naive(S.with_element(n + 2))]
+    if n in S:
+        expected.append(Violation("condition3-membership", 1, (n,)))
+    assert condition3_violations(p) == expected
+
+
+def _weak_by_elements_only(S, *, first_only=False):
+    if not S:
+        return []
+    return verifier._weak_by_elements(S.mask, bit_positions(operand_mask(S)), first_only)
+
+
+def test_seven_step_chain_same_report_through_both_paths(monkeypatch):
+    p = iterate(base_partition(), 7)[-1][0]
+    assert p.n == 44834
+    # moving 1 into the last subset breaks every run there: 1 + x = x + 1
+    subsets = list(p.subsets)
+    subsets[0] = IntSet.from_mask(subsets[0].mask & ~2)
+    subsets[-1] = subsets[-1].with_element(1)
+    broken = Partition(tuple(subsets), p.n)
+
+    run_calls = []
+    by_runs = verifier._weak_by_runs
+    monkeypatch.setattr(verifier, "_weak_by_runs",
+                        lambda *args: run_calls.append(1) or by_runs(*args))
+    reports = [verify(q, first_only=f) for q in (p, broken) for f in (False, True)]
+    assert run_calls  # the cost rule sent the long-run subsets down the run path
+    assert reports[0].passed and not reports[2].passed
+
+    monkeypatch.setattr(verifier, "weak_violations", _weak_by_elements_only)
+    assert [verify(q, first_only=f) for q in (p, broken) for f in (False, True)] == reports
+
+
+def test_cost_rule_keeps_scattered_sets_on_element_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run path taken on a scattered set")
+
+    monkeypatch.setattr(verifier, "_weak_by_runs", refuse)
+    odds = IntSet(range(1, 5001, 2))
+    assert weak_violations(odds) == []
+    rng = random.Random(3)
+    scattered = IntSet(rng.sample(range(1, 4001), 300))
+    assert weak_violations(scattered) == weak_violations_naive(scattered)
