@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
-from .intset import IntSet, iter_bits
+from .intset import IntSet, bit_positions
 
 WSP_FORMAT_VERSION = 1
 
@@ -209,12 +209,12 @@ def well_formed_violations(p: Partition) -> list[Violation]:
         m = sub.mask
         if not m:
             out.append(Violation("empty-subset", i))
-        for e in iter_bits(m & ~full):
+        for e in bit_positions(m & ~full):
             out.append(Violation("not-a-partition", i, (e,)))
-        for e in iter_bits(m & seen):
+        for e in bit_positions(m & seen):
             out.append(Violation("not-a-partition", i, (e,)))
         seen |= m
-    for e in iter_bits(full & ~seen):
+    for e in bit_positions(full & ~seen):
         out.append(Violation("not-a-partition", None, (e,)))
     out.sort(key=lambda v: v.sort_key)
     return out
@@ -250,18 +250,22 @@ _ELEMENTS_RE = re.compile(r"[0-9 \t]*")
 def parse_partition(source: "str | IO[str]") -> Partition:
     """Parse canonical partition text into a validated Partition.
 
-    Accepts a string or a text file object.  Blank and ``#`` lines are
-    skipped; elements are ASCII digits separated by spaces or tabs.
+    Accepts a string or a text file object.  Lines end at LF only, and
+    only spaces, tabs and CR are trimmed from their ends, so CRLF text
+    parses; blank and ``#`` lines are skipped; elements are ASCII digits
+    separated by spaces or tabs.
     Raises WspFormatError with the offending line number on any problem:
     bad header, an order the text is too short to cover, malformed line or
     element, duplicate integer, element out of range, empty subset, or
     incomplete coverage of 1..n.
     """
     text = source.read() if hasattr(source, "read") else source
+    # ASCII line rules: str.splitlines() and str.strip() would also break
+    # or trim on Unicode separators such as U+2028, U+0085 and U+3000
     lines = [
         (no, stripped)
-        for no, raw in enumerate(text.splitlines(), 1)
-        if (stripped := raw.strip()) and not stripped.startswith("#")
+        for no, raw in enumerate(text.split("\n"), 1)
+        if (stripped := raw.strip(" \t\r")) and not stripped.startswith("#")
     ]
     cursor = iter(lines)
 

@@ -8,7 +8,7 @@ can convict the other of a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .intset import IntSet, bit_positions
@@ -210,11 +210,9 @@ def condition2_violations(p: Partition) -> list[Violation]:
 def condition3_violations(p: Partition) -> list[Violation]:
     """Subset 1 must stay weakly sum-free when n+2 joins it, and must not
     contain n itself.  Both halves are what lets a step be applied."""
-    out = []
     s1 = p.subset(1)
-    extended = s1.with_element(p.n + 2)
-    for v in weak_violations(extended):
-        out.append(replace(v, kind="condition3-sumfree", subset_index=1))
+    out = [Violation("condition3-sumfree", 1, v.witness)
+           for v in weak_violations(s1.with_element(p.n + 2))]
     if p.n in s1:
         out.append(Violation("condition3-membership", 1, (p.n,)))
     return out
@@ -248,7 +246,7 @@ def verify(
         checked.add(LABEL_WEAK)
         for i, sub in enumerate(p.subsets, 1):
             for v in weak_violations(sub, first_only=first_only):
-                out.append(replace(v, subset_index=i))
+                out.append(Violation(v.kind, i, v.witness))
             if first_only and out:
                 break
     if which.no_double and not (first_only and out):

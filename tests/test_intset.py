@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakschur import IntSet
+from weakschur.intset import bit_positions
 
 small_sets = st.lists(st.integers(min_value=1, max_value=500), max_size=80)
 
@@ -101,3 +102,58 @@ def test_mask_and_tuple_views_agree(elems):
     s = IntSet(elems)
     assert IntSet.from_mask(s.mask).elements == s.elements
     assert s.mask.bit_count() == len(s)
+
+
+# --- bit_positions: a sparse and a dense decoder, chosen from the mask ----
+
+def naive_positions(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def mask_of(positions):
+    return sum(1 << k for k in set(positions))
+
+
+def test_bit_positions_empty_and_single_bits():
+    assert bit_positions(0) == []
+    for k in (0, 1, 7, 8, 9, 63, 64, 1023, 1024, 10**5):
+        assert bit_positions(1 << k) == [k]
+
+
+@given(st.integers(min_value=0, max_value=2**3000))
+def test_bit_positions_matches_naive(mask):
+    assert bit_positions(mask) == naive_positions(mask)
+
+
+# a 10^5-bit mask with at most 60 bits set: the sparse decoder's side
+@given(st.sets(st.integers(min_value=0, max_value=10**5 - 1), max_size=60))
+def test_bit_positions_wide_sparse(positions):
+    positions.add(10**5)
+    assert bit_positions(mask_of(positions)) == sorted(positions)
+
+
+# at least two bits in each of 32 or more bytes: the bytewise decoder's side
+@given(st.lists(st.sampled_from([b for b in range(256) if b.bit_count() >= 2]),
+                min_size=32, max_size=3000))
+def test_bit_positions_dense(data):
+    mask = int.from_bytes(bytes(data), "little")
+    assert mask.bit_count() >= 2 * len(data)
+    assert bit_positions(mask) == naive_positions(mask)
+
+
+@given(st.sets(st.integers(min_value=0, max_value=2000)
+               .flatmap(lambda k: st.sampled_from([8 * k - 1, 8 * k, 8 * k + 1]))
+               .filter(lambda k: k >= 0), max_size=40))
+def test_bit_positions_byte_boundaries(positions):
+    assert bit_positions(mask_of(positions)) == sorted(positions)
+
+
+@given(st.sets(st.integers(min_value=1, max_value=10**5), max_size=60),
+       st.lists(st.integers(min_value=1, max_value=255), max_size=200))
+def test_from_mask_round_trips_sparse_and_dense(positions, data):
+    dense = int.from_bytes(bytes(data), "little") << 1
+    cases = ((mask_of(positions), sorted(positions)), (dense, naive_positions(dense)))
+    for mask, expected in cases:
+        s = IntSet.from_mask(mask)
+        assert s.elements == tuple(expected)
+        assert IntSet(s.elements).mask == mask

@@ -129,6 +129,31 @@ def test_parse_separators_are_spaces_or_tabs():
         parse_partition("wsp 1\ns=1 n=2\n1: 1\u00a02\n")
 
 
+@pytest.mark.parametrize("line", [
+    "2: 3 5 6 7 19 20 21\u3000",  # trailing ideographic space, which str.strip() removes
+    "2: 3 5 6 7 19 20 21\x85",  # trailing NEL, which str.splitlines() breaks on
+    "2: 3 5 6 7\u2028 19 20 21",  # line separator inside the element list
+])
+def test_parse_line_rules_are_ascii_only(line):
+    lines = BASE_TEXT.split("\n")
+    lines[3] = line
+    with pytest.raises(WspFormatError, match="separated by spaces or tabs") as e:
+        parse_partition("\n".join(lines))
+    assert e.value.line == 4
+
+
+def test_parse_unicode_blank_line_is_not_blank():
+    with pytest.raises(WspFormatError, match="unexpected trailing line") as e:
+        parse_partition(MINIMAL_TEXT + "\u3000\n")
+    assert e.value.line == 4
+
+
+def test_parse_crlf_round_trips(base):
+    crlf = BASE_TEXT.replace("\n", "\r\n")
+    assert parse_partition(crlf) == base
+    assert serialize_partition(parse_partition(crlf)) == BASE_TEXT
+
+
 def test_parse_rejects_order_beyond_text_before_allocating():
     text = "wsp 1\ns=1 n=100000000\n1: 1\n"
     tracemalloc.start()

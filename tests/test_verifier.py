@@ -204,6 +204,22 @@ def test_verify_report_sorted_deterministically():
     assert report.as_json() == verify(p, ConditionSet.condition1()).as_json()
 
 
+def test_verify_two_adic_reports_exactly_the_analytic_condition3_witnesses():
+    # subset k+1 holds the x in 1..n with 2-adic valuation k: each is weakly
+    # sum-free and free of a/2a pairs, and the odd subset 1 fails condition 3
+    # once per odd a with 3 <= a < (n+2)/2, through the sparse pair masks
+    n = 2000
+    groups = {}
+    for x in range(1, n + 1):
+        groups.setdefault((x & -x).bit_length(), []).append(x)
+    p = Partition.from_subsets([groups[k] for k in sorted(groups)], n)
+    report = verify(p)
+    assert report.violations == tuple(
+        Violation("condition3-sumfree", 1, (a, n + 2 - a, n + 2))
+        for a in range(3, (n + 2) // 2, 2)
+    )
+
+
 def test_condition_set_parsing():
     assert ConditionSet.from_labels("all") == ConditionSet.all()
     c = ConditionSet.from_labels("1,3")
