@@ -233,8 +233,9 @@ def _lookahead_advisories(p: Partition) -> list[Violation]:
         out.append(Violation("advisory-chain-break", 1, (n - 1, 2 * n + 2)))
     if 6 in s1:
         out.append(Violation("advisory-chain-break", 1, (6,)))
+    buf = s1.buffer
     for d in s1.elements:
-        if d > 4 and d - 3 in s1:
+        if d > 4 and buf[(d - 3) >> 3] >> (d - 3 & 7) & 1:  # d - 3 in s1
             out.append(Violation("advisory-chain-break", 1, (d - 3, d)))
     return out
 

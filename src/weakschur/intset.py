@@ -109,6 +109,14 @@ class IntSet:
         return self._mask
 
     @property
+    def buffer(self) -> bytes:
+        """The bitmap as little-endian bytes: k is a member iff
+        ``buffer[k >> 3] >> (k & 7) & 1``, for 0 <= k <= max.  Loops that
+        test many members already known to be in range read it directly,
+        skipping ``__contains__``'s argument checks."""
+        return self._bytes
+
+    @property
     def min(self) -> int | None:
         return self._elems[0] if self._elems else None
 

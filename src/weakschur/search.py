@@ -10,6 +10,7 @@ including node counts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -69,12 +70,22 @@ def _search(
     budget: Optional[int] = None,
     emit: Callable[[list[int]], bool],
 ) -> tuple[bool, int]:
-    """Core backtracker over colourings of 1..n with s colours.
+    """Core backtracker over colourings of 1..n (n >= 1) with s colours.
 
     Per colour, ``members`` is the bitmask of placed values and ``sums`` the
     bitmask of values that would close a weak triple there (bit v set means
     some a < b in the colour have a + b = v), so feasibility of a colour is
-    one bit test and placement is one shifted OR.
+    one AND with ``bit = 1 << v`` and placement is one shifted OR.
+
+    The depth-first walk is one loop over an explicit stack, not recursion,
+    so its depth is bounded by memory rather than the interpreter's
+    recursion limit.  Level v keeps, in per-level arrays, the colour placed
+    there (``colour_of``), the highest colour open before it (``hi_at``) and
+    the ``members``/``sums`` masks of that colour before the placement; on
+    backtracking they are restored and the scan resumes at the next colour.
+    A child that is a leaf (v = n) or provably dead (``require_all`` with
+    fewer values left than empty colours) is judged where it is placed and
+    undone at once, without entering a level.
 
     First-use symmetry breaking: value v may reuse any open colour or open
     the next one.  With ``special_first`` colour 1 is exempt from that
@@ -86,12 +97,21 @@ def _search(
     sees each complete assignment (a list mapping value-1 to colour) and
     returns True to stop the search.
 
-    Returns (stopped_early, nodes); a node is one value placement.  Raises
-    SearchBudgetExceeded when the budget would be passed.
+    Returns (stopped_early, nodes); a node is one value placement, counted
+    in the same order as colours are tried.  Before each placement the
+    count is compared with the budget, and SearchBudgetExceeded is raised
+    when ``nodes >= budget``: a budget of b allows exactly b placements, and
+    a zero or negative budget allows none.
     """
+    if require_all and n < s:
+        return False, 0  # the root is already dead: s colours need s values
     members = [0] * (s + 1)
     sums = [0] * (s + 1)
     colour_of = [0] * (n + 1)
+    hi_at = [0] * (n + 1)
+    saved_members = [0] * (n + 1)
+    saved_sums = [0] * (n + 1)
+    limit = sys.maxsize if budget is None else budget
     nodes = 0
     target = n + 2  # forbidden pair-sum inside the designated first subset
     banned_first = frozenset()
@@ -101,49 +121,68 @@ def _search(
             banned.add((n + 2) // 2)
         banned_first = frozenset(banned)
 
-    def place(v: int, hi: int) -> bool:
-        nonlocal nodes
-        if v > n:
-            if require_all and (hi < s or (special_first and not members[1])):
-                return False
-            return emit(colour_of[1:])
-        if require_all:
-            empties = (s - hi) + (1 if special_first and not members[1] else 0)
-            if n - v + 1 < empties:
-                return False
+    v, c = 1, 1
+    hi = 1 if special_first else 0
+    while True:
+        # scan level v from colour c; hi and the masks are as on entry to v
+        bit = 1 << v
         top = hi + 1 if hi < s else s
-        for c in range(1, top + 1):
-            if (sums[c] >> v) & 1:
+        half = 1 << (v >> 1) if no_double and not v & 1 and v > 9 else 0
+        while c <= top:
+            sc = sums[c]
+            if sc & bit:
+                c += 1
                 continue
-            if no_double and not (v & 1):
-                a = v >> 1
-                if a > 4 and (members[c] >> a) & 1:
-                    continue
-            if special_first and c == 1:
-                if v == n:
-                    continue
-                partner = target - v
-                if 0 < partner and (members[1] >> partner) & 1:
-                    continue
-                if seed_filters:
-                    if v in banned_first:
-                        continue
-                    if v > 4 and (members[1] >> (v - 3)) & 1:
-                        continue
-            if budget is not None and nodes >= budget:
+            mc = members[c]
+            if (half and mc & half) or (
+                special_first
+                and c == 1
+                and (
+                    v == n
+                    or (mc >> (target - v)) & 1
+                    or v in banned_first
+                    or (seed_filters and v > 4 and (mc >> (v - 3)) & 1)
+                )
+            ):
+                c += 1
+                continue
+            if nodes >= limit:
                 raise SearchBudgetExceeded(nodes)
             nodes += 1
-            saved_members, saved_sums = members[c], sums[c]
-            sums[c] = saved_sums | (saved_members << v)
-            members[c] = saved_members | (1 << v)
+            members[c] = mc | bit
+            sums[c] = sc | (mc << v)
             colour_of[v] = c
-            if place(v + 1, hi if c <= hi else c):
-                return True
-            members[c], sums[c] = saved_members, saved_sums
-        return False
-
-    stopped = place(1, 1 if special_first else 0)
-    return stopped, nodes
+            child_hi = c if c > hi else hi
+            if v == n:
+                if not (
+                    require_all and (child_hi < s or (special_first and not members[1]))
+                ) and emit(colour_of[1:]):
+                    return True, nodes
+            elif not (
+                require_all
+                and n - v < (s - child_hi) + (special_first and not members[1])
+            ):
+                break
+            members[c] = mc
+            sums[c] = sc
+            c += 1
+        else:
+            # every colour at v tried: undo the placement at v - 1
+            v -= 1
+            if not v:
+                return False, nodes
+            c = colour_of[v]
+            members[c] = saved_members[v]
+            sums[c] = saved_sums[v]
+            hi = hi_at[v]
+            c += 1
+            continue
+        saved_members[v] = mc
+        saved_sums[v] = sc
+        hi_at[v] = hi
+        hi = child_hi
+        v += 1
+        c = 1
 
 
 def _partition_from(assignment: list[int], s: int, n: int) -> Partition:

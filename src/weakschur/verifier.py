@@ -199,10 +199,11 @@ def condition2_violations(p: Partition) -> list[Violation]:
         top = sub.max
         if top is None:
             continue
+        buf = sub.buffer
         for a in sub.elements:
             if 2 * a > top:
                 break
-            if a > 4 and 2 * a in sub:
+            if a > 4 and buf[a >> 2] >> (2 * a & 7) & 1:  # 2a in sub
                 out.append(Violation("double-element", i, (a, 2 * a)))
     return out
 

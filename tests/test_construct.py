@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weakschur import (
     BoundSequence,
@@ -16,6 +18,7 @@ from weakschur import (
     validate_seed,
     verify,
 )
+from weakschur.construct import _lookahead_advisories
 
 CHAIN_ORDERS = [62, 185, 554, 1661, 4982, 14945, 44834, 134501, 403502]
 
@@ -226,6 +229,20 @@ def test_validate_seed_chain_break_when_order_minus_one_in_subset_one():
         iterate(p, 2)
     assert e.value.step == 1
     assert "condition 3" in str(e.value)
+
+
+@given(st.sets(st.integers(1, 300)))
+def test_distance_three_advisories_match_set_membership(first):
+    # the byte-buffer member test against a plain set, across byte borders
+    n = max(first, default=1) + 1
+    rest = [v for v in range(1, n + 1) if v not in first]
+    p = Partition((IntSet(first), IntSet(rest)), n)
+    pairs = [
+        v.witness
+        for v in _lookahead_advisories(p)
+        if v.kind == "advisory-chain-break" and v.witness[-1] - v.witness[0] == 3
+    ]
+    assert pairs == [(d - 3, d) for d in sorted(first) if d > 4 and d - 3 in first]
 
 
 def test_validate_seed_chain_break_on_distance_three_pair():

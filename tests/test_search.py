@@ -1,10 +1,14 @@
 from itertools import product
+from typing import Callable, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakschur import (
     ConditionSet,
     IntSet,
+    Partition,
     SearchBudgetExceeded,
     base_partition,
     compute_ws,
@@ -15,7 +19,7 @@ from weakschur import (
     verify,
     weak_violations_naive,
 )
-from weakschur.search import _search
+from weakschur.search import _decide, _search
 
 
 def weakly_sum_free(elems):
@@ -225,3 +229,171 @@ def test_find_seeds_every_seed_survives_one_step():
         for p in find_seeds(3, n, 50):
             q, _ = construct_step(p)
             assert verify(q, ConditionSet.all()).passed
+
+
+# --- the explicit-stack loop against the recursive reference -------------------
+
+
+def _search_reference(
+    s: int,
+    n: int,
+    *,
+    no_double: bool = False,
+    special_first: bool = False,
+    require_all: bool = False,
+    seed_filters: bool = False,
+    budget: Optional[int] = None,
+    emit: Callable[[list[int]], bool],
+) -> tuple[bool, int]:
+    """The recursive backtracker that ``_search`` replaced, kept unchanged
+    as the reference: one Python call per value placed, so its depth is
+    bounded by the recursion limit."""
+    members = [0] * (s + 1)
+    sums = [0] * (s + 1)
+    colour_of = [0] * (n + 1)
+    nodes = 0
+    target = n + 2  # forbidden pair-sum inside the designated first subset
+    banned_first = frozenset()
+    if seed_filters:
+        banned = {5, 6, n - 1}
+        if n % 2 == 0 and (n + 2) // 2 > 4:
+            banned.add((n + 2) // 2)
+        banned_first = frozenset(banned)
+
+    def place(v: int, hi: int) -> bool:
+        nonlocal nodes
+        if v > n:
+            if require_all and (hi < s or (special_first and not members[1])):
+                return False
+            return emit(colour_of[1:])
+        if require_all:
+            empties = (s - hi) + (1 if special_first and not members[1] else 0)
+            if n - v + 1 < empties:
+                return False
+        top = hi + 1 if hi < s else s
+        for c in range(1, top + 1):
+            if (sums[c] >> v) & 1:
+                continue
+            if no_double and not (v & 1):
+                a = v >> 1
+                if a > 4 and (members[c] >> a) & 1:
+                    continue
+            if special_first and c == 1:
+                if v == n:
+                    continue
+                partner = target - v
+                if 0 < partner and (members[1] >> partner) & 1:
+                    continue
+                if seed_filters:
+                    if v in banned_first:
+                        continue
+                    if v > 4 and (members[1] >> (v - 3)) & 1:
+                        continue
+            if budget is not None and nodes >= budget:
+                raise SearchBudgetExceeded(nodes)
+            nodes += 1
+            saved_members, saved_sums = members[c], sums[c]
+            sums[c] = saved_sums | (saved_members << v)
+            members[c] = saved_members | (1 << v)
+            colour_of[v] = c
+            if place(v + 1, hi if c <= hi else c):
+                return True
+            members[c], sums[c] = saved_members, saved_sums
+        return False
+
+    stopped = place(1, 1 if special_first else 0)
+    return stopped, nodes
+
+
+def _walk(search, stop_after, **kwargs):
+    """Run one search, recording every emitted assignment in order and
+    stopping after ``stop_after`` emits (never when None)."""
+    emitted: list[list[int]] = []
+
+    def emit(assignment: list[int]) -> bool:
+        emitted.append(list(assignment))
+        return stop_after is not None and len(emitted) >= stop_after
+
+    try:
+        outcome = search(emit=emit, **kwargs)
+    except SearchBudgetExceeded as e:
+        outcome = ("budget exceeded", e.nodes_visited)
+    return outcome, emitted
+
+
+@settings(deadline=None)  # whole trees of up to ~15000 nodes, twice
+@given(
+    s=st.integers(1, 3),
+    n=st.integers(1, 22),
+    no_double=st.booleans(),
+    special_first=st.booleans(),
+    require_all=st.booleans(),
+    seed_filters=st.booleans(),
+    budget=st.one_of(st.sampled_from([None, 0, 1]), st.integers(-3, 20000)),
+    stop_after=st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_loop_matches_recursive_reference(
+    s, n, no_double, special_first, require_all, seed_filters, budget, stop_after
+):
+    kwargs = dict(
+        s=s,
+        n=n,
+        no_double=no_double,
+        special_first=special_first,
+        require_all=require_all,
+        seed_filters=seed_filters,
+        budget=budget,
+    )
+    assert _walk(_search, stop_after, **kwargs) == _walk(
+        _search_reference, stop_after, **kwargs
+    )
+
+
+def test_loop_matches_recursive_reference_on_every_small_case():
+    # the exhaustive corner the property samples thinly: orders where the
+    # require_all prune and the leaf checks decide most outcomes
+    names = ("no_double", "special_first", "require_all", "seed_filters")
+    for s, n in product(range(1, 4), range(1, 11)):
+        for flags in product((False, True), repeat=4):
+            kwargs = dict(zip(names, flags))
+            assert _walk(_search, None, s=s, n=n, **kwargs) == _walk(
+                _search_reference, None, s=s, n=n, **kwargs
+            ), (s, n, kwargs)
+
+
+def test_pinned_node_counts():
+    assert compute_ws(3, 100).nodes_visited == 22610
+    no_double = ConditionSet(weak_sum_free=True, no_double=True, seed_extension=False)
+    assert _decide(3, 23, ConditionSet.condition1())[1] == 954
+    assert _decide(3, 23, no_double)[1] == 5772
+    assert _decide(3, 23, ConditionSet.all())[1] == 15127
+    outcome, emitted = _walk(
+        _search,
+        None,
+        s=3,
+        n=21,
+        no_double=True,
+        special_first=True,
+        require_all=True,
+        seed_filters=True,
+    )
+    assert outcome == (False, 4028)
+    assert len(emitted) == 2
+
+
+@pytest.mark.parametrize("budget,nodes", [(0, 0), (1, 1), (5, 5), (-5, 0)])
+def test_budget_cuts_after_exactly_budget_nodes(budget, nodes):
+    # the budget is compared with ``>=`` before each placement, so a
+    # negative budget stops at once instead of running unbounded
+    with pytest.raises(SearchBudgetExceeded) as info:
+        decide(3, 23, budget=budget)
+    assert info.value.nodes_visited == nodes
+
+
+def test_deep_search_has_no_recursion_limit():
+    # one level per value: 1500 levels passed the interpreter's default
+    # recursion limit of 1000 while the search recursed
+    p = decide(12, 1500, budget=10**6)
+    assert isinstance(p, Partition)
+    assert (p.s, p.n) == (12, 1500)
+    assert verify(p, ConditionSet.condition1()).passed

@@ -118,6 +118,20 @@ def test_condition2_exempts_four():
     assert condition2_violations(p) == []
 
 
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=300))
+def test_condition2_matches_set_membership(colours):
+    # the byte-buffer member test against a plain set, across byte borders
+    groups = [[v for v, c in enumerate(colours, 1) if c == k] for k in range(3)]
+    p = Partition(tuple(IntSet(g) for g in groups), len(colours))
+    expected = [
+        (i, (a, 2 * a))
+        for i, g in enumerate(groups, 1)
+        for a in g
+        if a > 4 and 2 * a in set(g)
+    ]
+    assert [(v.subset_index, v.witness) for v in condition2_violations(p)] == expected
+
+
 # --- condition 3: first-subset extension --------------------------------
 
 
