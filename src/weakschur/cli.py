@@ -164,6 +164,20 @@ def _read_partition(args, path: str):
         return None, _fail(args, EXIT_USAGE, str(e), line=e.line)
 
 
+def _write_files(args, files, out_dir: Path | None = None) -> int | None:
+    """Create out_dir (when given) and write each (path, text) pair; return
+    None, or exit 2 after reporting the path that could not be written."""
+    path = out_dir
+    try:
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in files:
+            Path(path).write_text(text, encoding="ascii")
+    except OSError as e:
+        return _fail(args, EXIT_USAGE, f"cannot write {path}: {e.strerror}")
+    return None
+
+
 def _cmd_verify(args) -> int:
     p, err = _read_partition(args, args.file)
     if p is None:
@@ -204,7 +218,9 @@ def _cmd_generate(args) -> int:
                          f"seed fails checks: {report.violations[0].describe()}")
     text = serialize_partition(final)
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        err = _write_files(args, [(args.out, text)])
+        if err is not None:
+            return err
         _info(args, f"wrote s={final.s} n={final.n} to {args.out}")
     if args.json:
         doc = {
@@ -281,7 +297,9 @@ def _cmd_search_ws(args) -> int:
         return _fail(args, EXIT_USAGE, str(e))
     witness_text = serialize_partition(result.witness) if result.witness else None
     if args.out and witness_text:
-        Path(args.out).write_text(witness_text, encoding="ascii")
+        err = _write_files(args, [(args.out, witness_text)])
+        if err is not None:
+            return err
         _info(args, f"wrote witness n={result.best_n} to {args.out}")
     if args.json:
         doc = result.as_json()
@@ -304,11 +322,10 @@ def _cmd_search_seeds(args) -> int:
     paths = []
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for k, p in enumerate(seeds, 1):
-            path = out_dir / f"seed_{k:04d}.wsp"
-            path.write_text(serialize_partition(p), encoding="ascii")
-            paths.append(str(path))
+        paths = [str(out_dir / f"seed_{k:04d}.wsp") for k in range(1, len(seeds) + 1)]
+        err = _write_files(args, zip(paths, map(serialize_partition, seeds)), out_dir)
+        if err is not None:
+            return err
     if args.json:
         doc = {
             "s": args.s,

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intset import IntSet
+from .intset import IntSet, bit_positions
 from .partition import (
+    VIOLATION_KINDS,
     ConstructionTrace,
     Partition,
     Violation,
@@ -35,29 +36,6 @@ _BASE_SUBSETS = (
     (3, 5, 6, 7, 19, 20, 21),
     tuple(range(9, 18)),
 )
-
-_KIND_TO_CONDITION = {
-    "not-a-partition": "well-formedness",
-    "empty-subset": "well-formedness",
-    "weak-sum": "condition 1 (weak sum-freeness)",
-    "double-element": "condition 2 (no a,2a pair with a > 4)",
-    "condition3-sumfree": "condition 3 (subset 1 extension)",
-    "condition3-membership": "condition 3 (order in subset 1)",
-    "order-too-small": "minimum order 4",
-    "injected-double": "injected-double guard ((n+2)/2 outside subset 1)",
-}
-
-# naming precedence when several checks fail at once: structure first,
-# then the conditions in their usual order
-_CONDITION_RANK = {
-    "not-a-partition": 0,
-    "empty-subset": 0,
-    "weak-sum": 1,
-    "double-element": 2,
-    "condition3-sumfree": 3,
-    "condition3-membership": 3,
-}
-
 
 class SeedConditionError(ValueError):
     """The input to a construction step fails a required condition."""
@@ -103,14 +81,12 @@ def _blocking_extras(p: Partition) -> list[Violation]:
 def _require_seed(p: Partition, step: Optional[int] = None) -> None:
     report = verify(p, ConditionSet.all())
     if report.violations:
-        first = min(
-            report.violations, key=lambda v: _CONDITION_RANK.get(v.kind, 9)
-        )
-        raise SeedConditionError(_KIND_TO_CONDITION.get(first.kind, first.kind), report, step)
+        first = min(report.violations, key=lambda v: VIOLATION_KINDS[v.kind].rank)
+        raise SeedConditionError(VIOLATION_KINDS[first.kind].condition, report, step)
     extras = _blocking_extras(p)
     if extras:
         raise SeedConditionError(
-            _KIND_TO_CONDITION[extras[0].kind],
+            VIOLATION_KINDS[extras[0].kind].condition,
             ViolationReport.build(extras, {LABEL_WELL_FORMED}),
             step,
         )
@@ -119,7 +95,7 @@ def _require_seed(p: Partition, step: Optional[int] = None) -> None:
 def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
     """Extend a conforming partition of 1..m to one of 1..3m-1.
 
-    Three rules build the output:
+    Three rules build the output, each one mask operation:
 
     1. subset 1 additionally receives m+2, 2m+2 and the reflection
        3m+4-a of each of its own elements a > 4;
@@ -136,29 +112,30 @@ def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
     _require_seed(p)
     m = p.n
     r = 3 * m + 4
-    reflected = tuple(
-        tuple(r - a for a in reversed(sub.elements) if a > 4) for sub in p.subsets
-    )
-    first = p.subsets[0].elements + (m + 2, 2 * m + 2) + reflected[0]
-    newcomer = (m + 1,) + tuple(range(m + 3, 2 * m + 2)) + (2 * m + 3,)
-    subsets = (
-        IntSet(first),
-        *(
-            IntSet(p.subsets[i].elements + reflected[i])
-            for i in range(1, p.s)
-        ),
-        IntSet(newcomer),
-    )
+    reflected = [_reflect(sub.mask & -32, r) for sub in p.subsets]  # a > 4 only
+    injected = 1 << (m + 2) | 1 << (2 * m + 2)
+    masks = [sub.mask | refl for sub, refl in zip(p.subsets, reflected)]
+    masks[0] |= injected
+    # m+1 .. 2m+3 but for the two injected values
+    masks.append(((1 << (2 * m + 4)) - (1 << (m + 1))) ^ injected)
+    subsets = tuple(IntSet.from_mask(mask) for mask in masks)
     out = Partition(subsets, 3 * m - 1)
     out.validate()
     trace = ConstructionTrace(
         input_order=m,
         output_order=3 * m - 1,
         injected=(m + 2, 2 * m + 2),
-        reflected_per_subset=reflected,
+        reflected_per_subset=tuple(tuple(bit_positions(refl)) for refl in reflected),
         new_subset=subsets[-1],
     )
     return out, trace
+
+
+def _reflect(mask: int, r: int) -> int:
+    """The mask of {r - a : a in mask}, for a mask with no bit above r.
+    Reversing its binary digits sends bit a to max - a; the shift adds
+    r - max.  Binary conversions have no int/str digit limit in CPython."""
+    return int(format(mask, "b")[::-1], 2) << (r + 1 - mask.bit_length())
 
 
 def iterate(
@@ -233,10 +210,9 @@ def _lookahead_advisories(p: Partition) -> list[Violation]:
         out.append(Violation("advisory-chain-break", 1, (n - 1, 2 * n + 2)))
     if 6 in s1:
         out.append(Violation("advisory-chain-break", 1, (6,)))
-    buf = s1.buffer
-    for d in s1.elements:
-        if d > 4 and buf[(d - 3) >> 3] >> (d - 3 & 7) & 1:  # d - 3 in s1
-            out.append(Violation("advisory-chain-break", 1, (d - 3, d)))
+    m = s1.mask
+    for d in bit_positions(m & (m << 3) & -32):  # d > 4 with d - 3 in s1 too
+        out.append(Violation("advisory-chain-break", 1, (d - 3, d)))
     return out
 
 

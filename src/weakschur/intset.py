@@ -4,7 +4,8 @@ The whole library leans on one representation trick: a set of integers in
 1..n is a single arbitrary-size Python int, with bit k set iff k is a
 member.  Shifted intersection (``mask & (mask >> a)``) then answers "which
 b have both b and a+b in the set" in one pass of word operations, which is
-what makes verifying partitions of order ~4*10^5 cheap.
+what makes verifying partitions of order ~4*10^5 cheap.  The mask is the
+only thing a set stores; its elements are decoded from it on demand.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def bit_positions(mask: int) -> list[int]:
     lists the partners b of one operand a, a handful at most and on the
     2-adic condition-3 input exactly one, yet it is as wide as the whole
     subset; so are the run starts and ends of a construction output.
-    Whole sets (``IntSet.from_mask``) take the bytewise path unless they
-    fit in a few bytes.
+    Whole sets (``IntSet.elements`` and iteration) take the bytewise path
+    unless they fit in a few bytes.
     """
     if not mask:
         return []
@@ -57,35 +58,30 @@ def bit_positions(mask: int) -> list[int]:
     extend = out.extend
     for i, byte in enumerate(mask.to_bytes(nbytes, "little")):
         if byte:
-            base = i << 3
-            extend(base + b for b in _BYTE_BITS[byte])
+            extend(map((i << 3).__add__, _BYTE_BITS[byte]))
     return out
 
 
 class IntSet:
-    """Immutable set of integers >= 1 with a dense-bitmap backing.
+    """Immutable set of integers >= 1, stored as one int bitmask.
 
-    Keeps three views of the same data: a sorted tuple (cheap ascending
-    iteration), a bytes buffer (O(1) membership) and an int mask (the
-    shifted-intersection workhorse).
+    The mask is the only state: length, min, max and membership are bit
+    operations on it, and the ascending elements are decoded from it with
+    ``bit_positions`` on every call to ``elements``, ``__iter__`` or
+    ``__repr__``.  Nothing is cached, so a set costs its mask alone; a
+    caller that walks the elements more than once keeps its own copy.
     """
 
-    __slots__ = ("_elems", "_bytes", "_mask")
+    __slots__ = ("_mask",)
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = sorted({_index(e) for e in elements})
-        if elems and elems[0] < 1:
-            raise ValueError(f"IntSet elements must be >= 1, got {elems[0]}")
-        if elems:
-            buf = bytearray((elems[-1] >> 3) + 1)
-            for e in elems:
-                buf[e >> 3] |= 1 << (e & 7)
-            self._bytes = bytes(buf)
-            self._mask = int.from_bytes(buf, "little")
-        else:
-            self._bytes = b""
-            self._mask = 0
-        self._elems = tuple(elems)
+        elems = list(map(_index, elements))
+        if elems and min(elems) < 1:
+            raise ValueError(f"IntSet elements must be >= 1, got {min(elems)}")
+        buf = bytearray((max(elems, default=0) >> 3) + 1)
+        for e in elems:
+            buf[e >> 3] |= 1 << (e & 7)
+        self._mask = int.from_bytes(buf, "little")
 
     @classmethod
     def from_mask(cls, mask: int) -> "IntSet":
@@ -95,46 +91,36 @@ class IntSet:
         if mask & 1:
             raise ValueError("bit 0 set: IntSet elements must be >= 1")
         obj = cls.__new__(cls)
-        obj._bytes = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
         obj._mask = mask
-        obj._elems = tuple(bit_positions(mask))
         return obj
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return self._elems
+        return tuple(bit_positions(self._mask))
 
     @property
     def mask(self) -> int:
         return self._mask
 
     @property
-    def buffer(self) -> bytes:
-        """The bitmap as little-endian bytes: k is a member iff
-        ``buffer[k >> 3] >> (k & 7) & 1``, for 0 <= k <= max.  Loops that
-        test many members already known to be in range read it directly,
-        skipping ``__contains__``'s argument checks."""
-        return self._bytes
-
-    @property
     def min(self) -> int | None:
-        return self._elems[0] if self._elems else None
+        m = self._mask
+        return (m & -m).bit_length() - 1 if m else None
 
     @property
     def max(self) -> int | None:
-        return self._elems[-1] if self._elems else None
+        return self._mask.bit_length() - 1 if self._mask else None
 
     def union(self, other: "IntSet | Iterable[int]") -> "IntSet":
-        if isinstance(other, IntSet):
-            return IntSet.from_mask(self._mask | other._mask)
-        out = IntSet(other)
-        return IntSet.from_mask(self._mask | out._mask)
+        if not isinstance(other, IntSet):
+            other = IntSet(other)
+        return IntSet.from_mask(self._mask | other._mask)
 
     def with_element(self, x: int) -> "IntSet":
         x = _index(x)
         if x < 1:
             raise ValueError(f"IntSet elements must be >= 1, got {x}")
-        if x in self:
+        if self._mask >> x & 1:
             return self
         return IntSet.from_mask(self._mask | (1 << x))
 
@@ -143,20 +129,16 @@ class IntSet:
             k = _index(x)  # type: ignore[arg-type]
         except TypeError:
             return False
-        if k < 0:
-            return False
-        buf = self._bytes
-        i = k >> 3
-        return i < len(buf) and buf[i] >> (k & 7) & 1 != 0
+        return k >= 0 and self._mask >> k & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._elems)
+        return iter(bit_positions(self._mask))
 
     def __len__(self) -> int:
-        return len(self._elems)
+        return self._mask.bit_count()
 
     def __bool__(self) -> bool:
-        return bool(self._elems)
+        return self._mask != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntSet):
@@ -167,8 +149,9 @@ class IntSet:
         return hash(self._mask)
 
     def __repr__(self) -> str:
-        if len(self._elems) <= 12:
-            body = ", ".join(map(str, self._elems))
+        elems = bit_positions(self._mask)
+        if len(elems) <= 12:
+            body = ", ".join(map(str, elems))
             return f"IntSet({{{body}}})"
-        head = ", ".join(map(str, self._elems[:6]))
-        return f"IntSet({{{head}, ...}} len={len(self._elems)} max={self._elems[-1]})"
+        head = ", ".join(map(str, elems[:6]))
+        return f"IntSet({{{head}, ...}} len={len(elems)} max={elems[-1]})"

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Callable, Iterable, NamedTuple, Optional
 
 from .intset import IntSet, bit_positions
 
 WSP_FORMAT_VERSION = 1
-
-#: violation kinds that flag a future problem rather than a broken condition
-ADVISORY_KINDS = frozenset({"advisory-lookahead", "advisory-chain-break"})
 
 
 class WspFormatError(ValueError):
@@ -49,15 +46,72 @@ class InvalidPartitionError(ValueError):
         super().__init__(f"not a valid partition: {head}{more}")
 
 
+class ViolationKind(NamedTuple):
+    """One row of VIOLATION_KINDS.  ``text`` gives describe()'s words for
+    witness w in subset i.  ``condition`` is the requirement a construction
+    step names when its input shows this kind, and ``rank`` picks which one
+    when several fail: structure first, then conditions 1, 2 and 3.
+    Advisory kinds flag a future problem rather than a broken condition."""
+
+    text: Callable[[tuple[int, ...], Optional[int]], str]
+    condition: Optional[str] = None
+    rank: int = 9
+    advisory: bool = False
+
+
+def _sum_text(w: tuple[int, ...], _i: Optional[int]) -> str:
+    return f"{w[0]} + {w[1]} = {w[2]}"
+
+
+def _cover_text(w: tuple[int, ...], i: Optional[int]) -> str:
+    if not w:
+        return "bad structure"
+    if i is None:
+        return f"integer {w[0]} is not covered"
+    return f"element {w[0]} duplicated or outside 1..n"
+
+
+#: every violation kind the library reports, by Violation.kind
+VIOLATION_KINDS = {
+    "weak-sum": ViolationKind(_sum_text, "condition 1 (weak sum-freeness)", 1),
+    "strong-sum": ViolationKind(_sum_text),
+    "double-element": ViolationKind(
+        lambda w, _i: f"pair {w[0]}, {w[1]}", "condition 2 (no a,2a pair with a > 4)", 2
+    ),
+    "condition3-sumfree": ViolationKind(_sum_text, "condition 3 (subset 1 extension)", 3),
+    "condition3-membership": ViolationKind(
+        lambda w, _i: f"order {w[0]} is a member", "condition 3 (order in subset 1)", 3
+    ),
+    "empty-subset": ViolationKind(lambda _w, _i: "no elements", "well-formedness", 0),
+    "not-a-partition": ViolationKind(_cover_text, "well-formedness", 0),
+    "order-too-small": ViolationKind(
+        lambda w, _i: f"order {w[0]} is below 4, the smallest the step extends",
+        "minimum order 4",
+    ),
+    "injected-double": ViolationKind(
+        lambda w, _i: f"{w[0]} present, so the step would inject its double {w[1]}",
+        "injected-double guard ((n+2)/2 outside subset 1)",
+    ),
+    "advisory-lookahead": ViolationKind(
+        lambda w, _i: f"5 present, so the next step would put {w[1]} there", advisory=True
+    ),
+    "advisory-chain-break": ViolationKind(
+        lambda w, _i: "iteration provably stops a few steps out "
+                      f"(involving {', '.join(map(str, w))})",
+        advisory=True,
+    ),
+}
+# a kind outside the table is described by its bare witness
+_OTHER_KIND = ViolationKind(lambda w, _i: " ".join(map(str, w)))
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken rule, as data.
 
-    kind is one of: weak-sum, strong-sum, double-element, not-a-partition,
-    empty-subset, condition3-sumfree, condition3-membership,
-    order-too-small, injected-double, advisory-lookahead,
-    advisory-chain-break.  The witness carries the integers that exhibit
-    the problem (for sums: a, b, a+b with the smaller operand first).
+    kind is one of the keys of VIOLATION_KINDS.  The witness carries the
+    integers that exhibit the problem (for sums: a, b, a+b with the smaller
+    operand first).
     """
 
     kind: str
@@ -76,37 +130,11 @@ class Violation:
 
     @property
     def is_advisory(self) -> bool:
-        return self.kind in ADVISORY_KINDS
+        return VIOLATION_KINDS.get(self.kind, _OTHER_KIND).advisory
 
     def describe(self) -> str:
-        w = self.witness
         where = f" in subset {self.subset_index}" if self.subset_index is not None else ""
-        if self.kind in ("weak-sum", "strong-sum", "condition3-sumfree"):
-            core = f"{w[0]} + {w[1]} = {w[2]}"
-        elif self.kind == "double-element":
-            core = f"pair {w[0]}, {w[1]}"
-        elif self.kind == "condition3-membership":
-            core = f"order {w[0]} is a member"
-        elif self.kind == "empty-subset":
-            core = "no elements"
-        elif self.kind == "order-too-small":
-            core = f"order {w[0]} is below 4, the smallest the step extends"
-        elif self.kind == "injected-double":
-            core = f"{w[0]} present, so the step would inject its double {w[1]}"
-        elif self.kind == "advisory-lookahead":
-            core = f"5 present, so the next step would put {w[1]} there"
-        elif self.kind == "advisory-chain-break":
-            members = ", ".join(map(str, w))
-            core = f"iteration provably stops a few steps out (involving {members})"
-        elif self.kind == "not-a-partition":
-            if not w:
-                core = "bad structure"
-            elif self.subset_index is None:
-                core = f"integer {w[0]} is not covered"
-            else:
-                core = f"element {w[0]} duplicated or outside 1..n"
-        else:
-            core = " ".join(map(str, w))
+        core = VIOLATION_KINDS.get(self.kind, _OTHER_KIND).text(self.witness, self.subset_index)
         return f"{self.kind}: {core}{where}"
 
     def as_json(self) -> dict:
@@ -359,6 +387,6 @@ def serialize_partition(p: Partition) -> str:
     parts = [f"wsp {WSP_FORMAT_VERSION}\n", f"s={p.s} n={p.n}\n"]
     for i, sub in enumerate(p.subsets, 1):
         parts.append(f"{i}: ")
-        parts.append(" ".join(map(str, sub.elements)))
+        parts.append(" ".join(map(str, sub)))
         parts.append("\n")
     return "".join(parts)

@@ -191,17 +191,17 @@ def _partition_from(assignment: list[int], s: int, n: int) -> Partition:
     fewer colours.  Removal never breaks weak sum-freeness, so padding is
     always sound; the donor is the subset holding the largest movable
     element, which keeps the result deterministic."""
-    groups: list[list[int]] = [[] for _ in range(s)]
+    masks = [0] * s
     for v, c in enumerate(assignment, 1):
-        groups[c - 1].append(v)
-    empties = [g for g in groups if not g]
-    while empties:
-        donor = max(
-            (g for g in groups if len(g) > 1),
-            key=lambda g: g[-1],
-        )
-        empties.pop(0).append(donor.pop())
-    return Partition(tuple(IntSet(g) for g in groups), n)
+        masks[c - 1] |= 1 << v
+    for i in range(s):
+        if not masks[i]:
+            # disjoint masks compare like their largest elements
+            donor = max(m for m in masks if m & (m - 1))
+            top = 1 << (donor.bit_length() - 1)
+            masks[masks.index(donor)] ^= top
+            masks[i] = top
+    return Partition(tuple(IntSet.from_mask(m) for m in masks), n)
 
 
 def decide(

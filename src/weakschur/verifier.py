@@ -102,16 +102,16 @@ def weak_violations(S: IntSet, *, first_only: bool = False) -> list[Violation]:
     runs) + 3) is below the candidate count: construction outputs, a few
     long runs, take that path; scattered sets keep the per-element loop.
     """
-    elems = S.elements
-    if not elems:
-        return []
     m = S.mask
-    low = m & ((2 << ((elems[-1] - 1) >> 1)) - 1)  # the candidates a <= (max-1)/2
+    if not m:
+        return []
+    top = m.bit_length() - 1
+    low = m & ((2 << ((top - 1) >> 1)) - 1)  # the candidates a <= (max-1)/2
     probes = low.bit_count()
     runs = (low & ~(low << 1)).bit_count()
     if runs and runs * ((probes // runs).bit_length() + 3) < probes:
         return _weak_by_runs(m, low, first_only)
-    return _weak_by_elements(m, elems[:probes], first_only)
+    return _weak_by_elements(m, bit_positions(low), first_only)
 
 
 def _weak_by_elements(m: int, operands: Iterable[int], first_only: bool) -> list[Violation]:
@@ -173,13 +173,9 @@ def weak_violations_naive(S: IntSet) -> list[Violation]:
 def strong_violations(S: IntSet) -> list[Violation]:
     """Every pair a <= b (equality allowed) with a+b in S."""
     out: list[Violation] = []
-    top = S.max
-    if top is None:
-        return out
     m = S.mask
-    for a in S.elements:
-        if 2 * a > top:
-            break
+    top = m.bit_length() - 1  # -1 for the empty set, so no candidates
+    for a in bit_positions(m & ((1 << (top // 2 + 1)) - 1)):  # the a with 2a <= top
         pair = (m >> a) & m & (-1 << a)  # b >= a this time
         if pair:
             out.extend(
@@ -196,15 +192,12 @@ def condition2_violations(p: Partition) -> list[Violation]:
     """
     out = []
     for i, sub in enumerate(p.subsets, 1):
-        top = sub.max
-        if top is None:
-            continue
-        buf = sub.buffer
-        for a in sub.elements:
-            if 2 * a > top:
-                break
-            if a > 4 and buf[a >> 2] >> (2 * a & 7) & 1:  # 2a in sub
-                out.append(Violation("double-element", i, (a, 2 * a)))
+        m = sub.mask
+        # keep the even binary digits: bit a of halves is bit 2a of m
+        bits = format(m, "b")
+        halves = int(bits[(len(bits) - 1) % 2::2], 2)
+        for a in bit_positions(halves & m & -32):  # a > 4 with 2a in sub
+            out.append(Violation("double-element", i, (a, 2 * a)))
     return out
 
 

@@ -255,3 +255,36 @@ def test_byte_identical_reruns(capsys):
         code, out, _ = run(capsys, "search", "ws", "--s", "2", "--json", "--threads", "1")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# --- unwritable output paths: a usage error (exit 2), never a traceback ----
+
+
+def assert_cannot_write(capsys, argv, path, reason):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"cannot write {path}: {reason}"}
+
+
+def test_generate_out_in_missing_directory(tmp_path, capsys):
+    path = tmp_path / "nodir" / "x.wsp"
+    argv = ("generate", "--s", "4", "--out", str(path))
+    assert_cannot_write(capsys, argv, path, "No such file or directory")
+    assert not path.parent.exists()
+
+
+def test_search_ws_out_in_missing_directory(tmp_path, capsys):
+    path = tmp_path / "nodir" / "w.wsp"
+    argv = ("search", "ws", "--s", "2", "--out", str(path))
+    assert_cannot_write(capsys, argv, path, "No such file or directory")
+
+
+def test_search_seeds_out_dir_is_a_file(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n", encoding="ascii")
+    argv = ("search", "seeds", "--s", "3", "--n", "21", "--out-dir", str(path))
+    assert_cannot_write(capsys, argv, path, "File exists")
+    assert path.read_text(encoding="ascii") == "not a directory\n"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weakschur import (
@@ -13,12 +13,14 @@ from weakschur import (
     bound_table,
     condition3_violations,
     construct_step,
+    find_seeds,
     iterate,
     strong_violations,
     validate_seed,
     verify,
 )
-from weakschur.construct import _lookahead_advisories
+from weakschur.construct import _lookahead_advisories, _reflect, _require_seed
+from weakschur.partition import ConstructionTrace
 
 CHAIN_ORDERS = [62, 185, 554, 1661, 4982, 14945, 44834, 134501, 403502]
 
@@ -123,6 +125,33 @@ def test_step_rejects_condition3_failure():
         construct_step(p)
 
 
+@pytest.mark.parametrize("subsets,failed", [
+    ([(1, 2, 3), (4, 5)], "condition 1 (weak sum-freeness)"),
+    ([(6, 8, 9), (3, 4, 5, 10), (1, 2, 7)], "condition 2 (no a,2a pair with a > 4)"),
+    ([(6, 7, 9, 10), (2, 4, 8), (1, 3, 5, 11)], "condition 3 (subset 1 extension)"),
+    ([(1, 2, 5), (3, 4)], "condition 3 (order in subset 1)"),
+    # several conditions fail: the lowest is named, then the first in report order
+    ([(1, 2, 3, 5), (4,)], "condition 1 (weak sum-freeness)"),
+    ([(6, 7, 8), (1, 2, 4, 9), (3, 5, 10, 11)], "condition 2 (no a,2a pair with a > 4)"),
+    ([(1, 3, 7, 11), (2, 5, 9, 10), (4, 6, 8)], "condition 2 (no a,2a pair with a > 4)"),
+    ([(1, 2, 5, 12), (6, 7, 8, 9, 10), (3, 4, 11)], "condition 3 (order in subset 1)"),
+    ([(1,), (2,)], "minimum order 4"),
+    ([(1, 6), (2, 3, 9, 10), (4, 5, 7, 8)],
+     "injected-double guard ((n+2)/2 outside subset 1)"),
+])
+def test_step_names_the_failed_condition(subsets, failed):
+    with pytest.raises(SeedConditionError) as e:
+        construct_step(Partition.from_subsets(subsets))
+    assert e.value.failed == failed
+    assert str(e.value) == f"cannot extend partition: {failed} fails"
+
+
+def test_step_names_well_formedness():
+    with pytest.raises(SeedConditionError, match="^cannot extend partition: "
+                       "well-formedness fails$"):
+        construct_step(Partition((IntSet([1, 2]), IntSet([2, 3])), 3))
+
+
 def test_step_rejects_tiny_orders():
     p = Partition.from_subsets([(1,), (2,)])
     with pytest.raises(SeedConditionError, match="minimum order"):
@@ -134,6 +163,63 @@ def test_step_accepts_order_four_seed():
     out, _ = construct_step(p)
     assert out.n == 11
     assert verify(out, ConditionSet.all()).passed
+
+
+# --- the mask-arithmetic step against the element-wise reference -----------
+
+
+def _step_reference(p):
+    """The step built element by element from sorted tuples: an
+    independent reference for construct_step's mask arithmetic."""
+    _require_seed(p)
+    m = p.n
+    r = 3 * m + 4
+    reflected = tuple(
+        tuple(r - a for a in reversed(sub.elements) if a > 4) for sub in p.subsets
+    )
+    first = p.subsets[0].elements + (m + 2, 2 * m + 2) + reflected[0]
+    newcomer = (m + 1,) + tuple(range(m + 3, 2 * m + 2)) + (2 * m + 3,)
+    subsets = (
+        IntSet(first),
+        *(IntSet(p.subsets[i].elements + reflected[i]) for i in range(1, p.s)),
+        IntSet(newcomer),
+    )
+    out = Partition(subsets, 3 * m - 1)
+    out.validate()
+    trace = ConstructionTrace(
+        input_order=m,
+        output_order=3 * m - 1,
+        injected=(m + 2, 2 * m + 2),
+        reflected_per_subset=reflected,
+        new_subset=subsets[-1],
+    )
+    return out, trace
+
+
+def test_step_matches_reference_along_base_chain(base):
+    p = base
+    for _ in range(7):  # s = 4 .. 10, up to order 44834
+        out, trace = construct_step(p)
+        assert (out, trace) == _step_reference(p)
+        p = out
+    assert (p.s, p.n) == (10, 44834)
+
+
+def test_step_matches_reference_from_searched_seeds():
+    seeds = find_seeds(4, 40, 200)
+    assert len(seeds) == 200
+    for seed in seeds:
+        assert construct_step(seed) == _step_reference(seed)
+
+
+@given(st.sets(st.integers(1, 400)), st.integers(1, 50))
+@example(set(), 1)
+@example({1, 2, 3, 4}, 1)
+@example({5, 9}, 1)  # a = r - 1 = 9 reflects to 1
+def test_reflect_matches_set_definition(members, extra):
+    r = max(members, default=0) + extra
+    mask = IntSet(members).mask & -32  # the step reflects only a > 4
+    assert _reflect(mask, r) == IntSet({r - a for a in members if a > 4}).mask
 
 
 # --- iteration --------------------------------------------------------------
@@ -233,7 +319,7 @@ def test_validate_seed_chain_break_when_order_minus_one_in_subset_one():
 
 @given(st.sets(st.integers(1, 300)))
 def test_distance_three_advisories_match_set_membership(first):
-    # the byte-buffer member test against a plain set, across byte borders
+    # the shifted-mask test against a plain set
     n = max(first, default=1) + 1
     rest = [v for v in range(1, n + 1) if v not in first]
     p = Partition((IntSet(first), IntSet(rest)), n)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,10 +31,13 @@ def test_empty():
 
 
 def test_rejects_non_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 0$"):
         IntSet([0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got -3$"):
         IntSet([-3])
+    # the error names the smallest element, wherever it sits
+    with pytest.raises(ValueError, match="got -7$"):
+        IntSet([4, 0, -7, 9, -2])
 
 
 def test_rejects_non_integers():
@@ -97,11 +102,59 @@ def test_iteration_sorted_and_unique(elems):
     assert all(e in s for e in out)
 
 
-@given(small_sets)
-def test_mask_and_tuple_views_agree(elems):
+def expected_repr(members):
+    elems = sorted(members)
+    if len(elems) <= 12:
+        return "IntSet({" + ", ".join(map(str, elems)) + "})"
+    head = ", ".join(map(str, elems[:6]))
+    return f"IntSet({{{head}, ...}} len={len(elems)} max={elems[-1]})"
+
+
+def assert_views_match(s, members):
+    elems = sorted(members)
+    assert s.elements == tuple(elems)
+    assert list(s) == elems
+    assert len(s) == len(members) == s.mask.bit_count()
+    assert bool(s) == bool(members)
+    assert s.min == (elems[0] if elems else None)
+    assert s.max == (elems[-1] if elems else None)
+    top = elems[-1] if elems else 0
+    for k in range(-1, top + 3):
+        assert (k in s) == (k in members)
+    assert repr(s) == expected_repr(members)
+
+
+@given(small_sets, small_sets, st.integers(min_value=1, max_value=600))
+def test_mask_and_tuple_views_agree(elems, more, x):
     s = IntSet(elems)
     assert IntSet.from_mask(s.mask).elements == s.elements
-    assert s.mask.bit_count() == len(s)
+    assert_views_match(s, set(elems))
+    assert_views_match(IntSet.from_mask(s.mask), set(elems))
+    assert_views_match(s.union(IntSet(more)), set(elems) | set(more))
+    assert_views_match(s.union(more), set(elems) | set(more))
+    assert_views_match(s.with_element(x), set(elems) | {x})
+
+
+def test_mask_is_the_only_state():
+    assert IntSet.__slots__ == ("_mask",)
+    assert not hasattr(IntSet([1, 2]), "buffer")
+
+
+def test_wide_sets_cost_their_mask_alone():
+    # 400000 members: an element tuple alone would take about 14 MB
+    mask = (1 << 400001) - 2
+    tracemalloc.start()
+    try:
+        s = IntSet.from_mask(mask)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < 1_000_000
+        tracemalloc.reset_peak()
+        t = s.with_element(400002)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < 1_000_000
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 400001 and t.max == 400002
 
 
 # --- bit_positions: a sparse and a dense decoder, chosen from the mask ----

@@ -9,6 +9,7 @@ from weakschur import (
     IntSet,
     InvalidPartitionError,
     Partition,
+    Violation,
     WspFormatError,
     base_partition,
     iterate,
@@ -16,6 +17,7 @@ from weakschur import (
     serialize_partition,
     well_formed_violations,
 )
+from weakschur.partition import VIOLATION_KINDS
 
 from conftest import BASE_TEXT
 
@@ -315,3 +317,42 @@ def test_parse_fuzz_mutated_base(data):
         elif i < len(text):
             text[i:i + 1] = piece if op == "replace" else ""
     _assert_partition_or_format_error("".join(text))
+
+
+# --- violation kinds: one table behind describe() and is_advisory ----------
+
+DESCRIBED = [
+    ("weak-sum", 2, (1, 2, 3), "weak-sum: 1 + 2 = 3 in subset 2"),
+    ("strong-sum", None, (3, 3, 6), "strong-sum: 3 + 3 = 6"),
+    ("double-element", 1, (5, 10), "double-element: pair 5, 10 in subset 1"),
+    ("condition3-sumfree", 1, (2, 21, 23), "condition3-sumfree: 2 + 21 = 23 in subset 1"),
+    ("condition3-membership", 1, (21,),
+     "condition3-membership: order 21 is a member in subset 1"),
+    ("empty-subset", 3, (), "empty-subset: no elements in subset 3"),
+    ("not-a-partition", None, (), "not-a-partition: bad structure"),
+    ("not-a-partition", None, (7,), "not-a-partition: integer 7 is not covered"),
+    ("not-a-partition", 2, (7,),
+     "not-a-partition: element 7 duplicated or outside 1..n in subset 2"),
+    ("order-too-small", None, (2,),
+     "order-too-small: order 2 is below 4, the smallest the step extends"),
+    ("injected-double", 1, (6, 12),
+     "injected-double: 6 present, so the step would inject its double 12 in subset 1"),
+    ("advisory-lookahead", 1, (5, 62),
+     "advisory-lookahead: 5 present, so the next step would put 62 there in subset 1"),
+    ("advisory-chain-break", 1, (2, 5), "advisory-chain-break: iteration provably "
+     "stops a few steps out (involving 2, 5) in subset 1"),
+    ("advisory-chain-break", 1, (44,), "advisory-chain-break: iteration provably "
+     "stops a few steps out (involving 44) in subset 1"),
+    ("something-else", 4, (1, 2), "something-else: 1 2 in subset 4"),
+]
+
+
+@pytest.mark.parametrize("kind,index,witness,text", DESCRIBED)
+def test_describe_text_of_every_kind(kind, index, witness, text):
+    v = Violation(kind, index, witness)
+    assert v.describe() == str(v) == text
+    assert v.is_advisory == kind.startswith("advisory-")
+
+
+def test_described_kinds_cover_the_table():
+    assert {k for k, *_ in DESCRIBED} - {"something-else"} == set(VIOLATION_KINDS)

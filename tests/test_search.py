@@ -19,7 +19,7 @@ from weakschur import (
     verify,
     weak_violations_naive,
 )
-from weakschur.search import _decide, _search
+from weakschur.search import _decide, _partition_from, _search
 
 
 def weakly_sum_free(elems):
@@ -397,3 +397,38 @@ def test_deep_search_has_no_recursion_limit():
     assert isinstance(p, Partition)
     assert (p.s, p.n) == (12, 1500)
     assert verify(p, ConditionSet.condition1()).passed
+
+
+# --- _partition_from: one mask per colour against the list-based reference --
+
+
+def _partition_from_reference(assignment, s, n):
+    """Padding done on per-colour lists: an independent reference for
+    _partition_from's per-colour masks."""
+    groups = [[] for _ in range(s)]
+    for v, c in enumerate(assignment, 1):
+        groups[c - 1].append(v)
+    empties = [g for g in groups if not g]
+    while empties:
+        donor = max((g for g in groups if len(g) > 1), key=lambda g: g[-1])
+        empties.pop(0).append(donor.pop())
+    return Partition(tuple(IntSet(g) for g in groups), n)
+
+
+@st.composite
+def padded_assignments(draw):
+    # n >= s values over fewer than s colours, gaps anywhere: the padding path
+    s = draw(st.integers(2, 7))
+    n = draw(st.integers(s, 40))
+    used = draw(st.lists(st.integers(1, s), min_size=1, max_size=s - 1, unique=True))
+    return draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)), s, n
+
+
+@given(padded_assignments())
+def test_partition_from_matches_reference_when_padding(case):
+    assignment, s, n = case
+    p = _partition_from(assignment, s, n)
+    assert p == _partition_from_reference(assignment, s, n)
+    p.validate()
+    assert all(p.subsets)
+

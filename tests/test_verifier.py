@@ -120,7 +120,7 @@ def test_condition2_exempts_four():
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=300))
 def test_condition2_matches_set_membership(colours):
-    # the byte-buffer member test against a plain set, across byte borders
+    # the halved mask (even binary digits) against a plain set, any width parity
     groups = [[v for v, c in enumerate(colours, 1) if c == k] for k in range(3)]
     p = Partition(tuple(IntSet(g) for g in groups), len(colours))
     expected = [
