@@ -22,7 +22,7 @@ from .partition import (
     Violation,
     ViolationReport,
 )
-from .verifier import LABEL_WEAK, LABEL_WELL_FORMED, ConditionSet, verify
+from .verifier import LABEL_WEAK, ConditionSet, verify
 
 #: comparison orders from other published constructions, shown in tables as
 #: context only, never reproduced by this library
@@ -59,37 +59,67 @@ def base_partition() -> Partition:
     return Partition(tuple(IntSet(e) for e in _BASE_SUBSETS), 21)
 
 
-def _blocking_extras(p: Partition) -> list[Violation]:
-    """Checks beyond conditions 1..3 without which a step breaks outright.
+#: the smallest order the step extends; at exactly this order the injected
+#: 2n+2 is the next order minus one, so the chain stops one step later
+MIN_ORDER = 4
+#: subset 1 holding d and d - GAP with d > 4 stops the chain: one step on,
+#: d - GAP pairs with the reflection 3n+4-d to hit the next extension sum
+GAP = 3
 
-    Orders below 4 make the output pieces overlap or overshoot 3n-1.  And
-    when n is even with (n+2)/2 in subset 1 (above the a <= 4 exemption),
-    the injected n+2 is the double of an existing member: the output then
-    contains (n+2)/2 + (n+2)/2 = n+2 and, via the reflection of (n+2)/2,
-    the distinct sum (n+2)/2 + (2n+2) = (3n+4) - (n+2)/2, so it is not
-    even weakly sum-free.  Weak sum-freeness of subset 1 extended by n+2
-    cannot see this: a + a = c sums are exactly what it ignores.
+
+def _seed_rules(n: int) -> list[tuple[int, str, tuple[int, ...]]]:
+    """The values subset 1 of an order-n seed must avoid, as rows
+    (value, kind, witness); a row trips when its value is in subset 1.
+    Rows, not a dict, because n-1 can equal 5 or 6.
+
+    * 5: the next output has order 3n-1 = (3n+4)-5 inside its subset 1,
+      failing the membership half of condition 3 one step out.
+    * 6: becomes the n-1 case one step later.
+    * n-1: pairs with the injected 2n+2 to hit 3n+1, the extension sum of
+      the next output.
+    * (n+2)/2 for even n, above the a <= 4 exemption, blocks the step: the
+      injected n+2 is its double, so the output contains (n+2)/2 + (n+2)/2
+      = n+2 and, via the reflection of (n+2)/2, the distinct sum
+      (n+2)/2 + (2n+2) = (3n+4) - (n+2)/2, so it is not even weakly
+      sum-free.  Condition 3 cannot see this: a + a = c sums are exactly
+      what weak sum-freeness ignores.
+
+    validate_seed reports the rows with MIN_ORDER and GAP; _search prunes
+    subset 1 by the same rows and GAP.
     """
-    if p.n < 4:
-        return [Violation("order-too-small", None, (p.n,))]
-    half = (p.n + 2) // 2
-    if p.n % 2 == 0 and half > 4 and half in p.subset(1):
-        return [Violation("injected-double", 1, (half, p.n + 2))]
-    return []
+    rows = [
+        (5, "advisory-lookahead", (5, 3 * n - 1)),
+        (6, "advisory-chain-break", (6,)),
+        (n - 1, "advisory-chain-break", (n - 1, 2 * n + 2)),
+    ]
+    half = (n + 2) // 2
+    if n % 2 == 0 and half > 4:
+        rows.append((half, "injected-double", (half, n + 2)))
+    return rows
 
 
-def _require_seed(p: Partition, step: Optional[int] = None) -> None:
-    report = verify(p, ConditionSet.all())
-    if report.violations:
-        first = min(report.violations, key=lambda v: VIOLATION_KINDS[v.kind].rank)
-        raise SeedConditionError(VIOLATION_KINDS[first.kind].condition, report, step)
-    extras = _blocking_extras(p)
-    if extras:
-        raise SeedConditionError(
-            VIOLATION_KINDS[extras[0].kind].condition,
-            ViolationReport.build(extras, {LABEL_WELL_FORMED}),
-            step,
-        )
+def _seed_rule_violations(p: Partition) -> list[Violation]:
+    """Every seed rule p trips, blocking and advisory alike.  A Violation
+    is built only for a rule that trips."""
+    n = p.n
+    s1 = p.subset(1)
+    out = [Violation(kind, 1, w) for value, kind, w in _seed_rules(n) if value in s1]
+    if n < MIN_ORDER:  # the output pieces would overlap or overshoot 3n-1
+        out.append(Violation("order-too-small", None, (n,)))
+    elif n == MIN_ORDER:
+        out.append(Violation("advisory-chain-break", 1, (2 * n + 2,)))
+    m = s1.mask
+    for d in bit_positions(m & (m << GAP) & -32):  # d > 4 with d - GAP in s1 too
+        out.append(Violation("advisory-chain-break", 1, (d - GAP, d)))
+    return out
+
+
+def _require_seed(p: Partition) -> None:
+    report = validate_seed(p)
+    blocking = report.blocking()
+    if blocking:
+        first = min(blocking, key=lambda v: VIOLATION_KINDS[v.kind].rank)
+        raise SeedConditionError(VIOLATION_KINDS[first.kind].condition, report)
 
 
 def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
@@ -105,8 +135,8 @@ def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
 
     Elements 1..4 are never reflected; the reflections of 5..m tile
     2m+4 .. 3m-1 exactly once each, which is what makes the output a
-    partition.  The input is re-verified first, including the two guards
-    from _blocking_extras: without them the output would not be a weak
+    partition.  The input is re-verified first, refused on any blocking
+    entry of validate_seed: without that the output would not be a weak
     Schur partition at all.
     """
     _require_seed(p)
@@ -125,7 +155,7 @@ def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
         input_order=m,
         output_order=3 * m - 1,
         injected=(m + 2, 2 * m + 2),
-        reflected_per_subset=tuple(tuple(bit_positions(refl)) for refl in reflected),
+        reflected_per_subset=tuple(IntSet.from_mask(refl) for refl in reflected),
         new_subset=subsets[-1],
     )
     return out, trace
@@ -167,53 +197,25 @@ def iterate(
 def validate_seed(p: Partition) -> ViolationReport:
     """Check whether a partition can start the iteration, and how far.
 
-    Blocking entries (conditions 1..3, order-too-small, injected-double)
-    mean no step is possible at all.  A report containing only advisories
-    means at least one step works but the chain provably stops soon after:
-
-    * advisory-lookahead: 5 sits in subset 1, so the next output has order
-      3n-1 = (3n+4)-5 inside its subset 1, failing the membership half of
-      the extension condition one step out;
-    * advisory-chain-break: the extension sum 3n+1 of the next output (or
-      the one after) is already forced.  Triggers: n-1 in subset 1 (pairs
-      with the injected 2n+2), members d and d-3 both in subset 1 with
-      d > 4 (d-3 pairs with the reflection of d), 6 in subset 1 (becomes
-      the n-1 case one step later), or n = 4 (the injected 2n+2 equals the
-      next order minus one).
-
-    An empty report certifies the chain iterates indefinitely: every rule
-    above re-establishes itself under the step, so the induction closes.
+    The report holds conditions 1..3 and the seed rules (_seed_rules,
+    MIN_ORDER and GAP).  Blocking entries mean no step is possible at all.
+    Advisories, reported only when nothing blocks, mean at least one step
+    works but the chain provably stops soon after.  An empty report
+    certifies the chain iterates indefinitely: every rule re-establishes
+    itself under the step, so the induction closes.
     """
     report = verify(p, ConditionSet.all())
     violations = list(report.violations)
     checked = set(report.checked_conditions)
-    conditions_ran = LABEL_WEAK in checked
-    if conditions_ran:
+    if LABEL_WEAK in checked:  # the conditions ran, so p is well-formed
         checked.add("look-ahead")
-        violations.extend(_blocking_extras(p))
+        found = _seed_rule_violations(p)
+        violations += [v for v in found if not v.is_advisory]
         if not violations:
             # advisories describe the chain's future; moot unless a first
             # step is actually possible
-            violations.extend(_lookahead_advisories(p))
+            violations = found
     return ViolationReport.build(violations, checked)
-
-
-def _lookahead_advisories(p: Partition) -> list[Violation]:
-    out = []
-    n = p.n
-    s1 = p.subset(1)
-    if 5 in s1:
-        out.append(Violation("advisory-lookahead", 1, (5, 3 * n - 1)))
-    if n == 4:
-        out.append(Violation("advisory-chain-break", 1, (2 * n + 2,)))
-    if n - 1 in s1:
-        out.append(Violation("advisory-chain-break", 1, (n - 1, 2 * n + 2)))
-    if 6 in s1:
-        out.append(Violation("advisory-chain-break", 1, (6,)))
-    m = s1.mask
-    for d in bit_positions(m & (m << 3) & -32):  # d > 4 with d - 3 in s1 too
-        out.append(Violation("advisory-chain-break", 1, (d - 3, d)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,7 @@ class ConstructionTrace:
     input_order: int
     output_order: int
     injected: tuple[int, int]
-    reflected_per_subset: tuple[tuple[int, ...], ...]
+    reflected_per_subset: tuple[IntSet, ...]
     new_subset: IntSet
 
     def as_json(self) -> dict:

@@ -1,11 +1,15 @@
 """Exhaustive backtracking over colourings of 1..n.
 
-This is the library's independent oracle: it shares no code with the
-construction, so agreement between a search witness and the verifier, or
-between an exact value here and a bound there, is evidence rather than
-tautology.  Values are coloured in the fixed order 1, 2, ..., n; colour
-symmetry is broken by first use, and every result is deterministic,
-including node counts.
+This is the library's independent oracle: agreement between a search
+witness and the verifier, or between an exact value here and a bound
+there, is evidence rather than tautology.  It shares two things with the
+construction, both for seeds only: the seed prune reads the construction's
+seed-rule table (``_seed_rules`` and ``GAP``), and ``find_seeds`` keeps
+what ``validate_seed`` passes.  A test compares ``find_seeds`` with the
+unpruned walk filtered by ``validate_seed``, so a prune that drops a
+clean seed shows there.  Values are coloured in the fixed order 1, 2,
+..., n; colour symmetry is broken by first use, and every result is
+deterministic, including node counts.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .construct import validate_seed
+from .construct import GAP, MIN_ORDER, _seed_rules, validate_seed
 from .intset import IntSet
 from .partition import Partition
 from .verifier import ConditionSet
@@ -65,7 +69,6 @@ def _search(
     *,
     no_double: bool = False,
     special_first: bool = False,
-    require_all: bool = False,
     seed_filters: bool = False,
     budget: Optional[int] = None,
     emit: Callable[[list[int]], bool],
@@ -83,19 +86,20 @@ def _search(
     there (``colour_of``), the highest colour open before it (``hi_at``) and
     the ``members``/``sums`` masks of that colour before the placement; on
     backtracking they are restored and the scan resumes at the next colour.
-    A child that is a leaf (v = n) or provably dead (``require_all`` with
+    A child that is a leaf (v = n) or provably dead (``special_first`` with
     fewer values left than empty colours) is judged where it is placed and
     undone at once, without entering a level.
 
     First-use symmetry breaking: value v may reuse any open colour or open
     the next one.  With ``special_first`` colour 1 is exempt from that
-    ordering (it is pre-opened and may stay empty); it then also enforces
-    the seed-extension rules: no pair in colour 1 may sum to n + 2 and n
-    itself stays out.  ``seed_filters`` additionally prunes colour 1 by the
-    look-ahead rules (no 5, 6, n-1, (n+2)/2 for even n, or pair at
-    distance 3), matching what validate_seed accepts outright.  ``emit``
-    sees each complete assignment (a list mapping value-1 to colour) and
-    returns True to stop the search.
+    ordering (it is pre-opened); it then also enforces the seed-extension
+    rules (no pair in colour 1 may sum to n + 2 and n itself stays out),
+    and every colour, colour 1 included, must end up non-empty.
+    ``seed_filters`` additionally prunes colour 1 by the construction's
+    seed-rule table: no value of a ``_seed_rules(n)`` row, and no pair at
+    distance ``GAP`` whose larger member is above 4.  ``emit`` sees each
+    complete assignment (a list mapping value-1 to colour) and returns
+    True to stop the search.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -103,7 +107,7 @@ def _search(
     when ``nodes >= budget``: a budget of b allows exactly b placements, and
     a zero or negative budget allows none.
     """
-    if require_all and n < s:
+    if special_first and n < s:
         return False, 0  # the root is already dead: s colours need s values
     members = [0] * (s + 1)
     sums = [0] * (s + 1)
@@ -116,10 +120,7 @@ def _search(
     target = n + 2  # forbidden pair-sum inside the designated first subset
     banned_first = frozenset()
     if seed_filters:
-        banned = {5, 6, n - 1}
-        if n % 2 == 0 and (n + 2) // 2 > 4:
-            banned.add((n + 2) // 2)
-        banned_first = frozenset(banned)
+        banned_first = frozenset(value for value, _, _ in _seed_rules(n))
 
     v, c = 1, 1
     hi = 1 if special_first else 0
@@ -141,7 +142,7 @@ def _search(
                     v == n
                     or (mc >> (target - v)) & 1
                     or v in banned_first
-                    or (seed_filters and v > 4 and (mc >> (v - 3)) & 1)
+                    or (seed_filters and v > 4 and (mc >> (v - GAP)) & 1)
                 )
             ):
                 c += 1
@@ -155,12 +156,11 @@ def _search(
             child_hi = c if c > hi else hi
             if v == n:
                 if not (
-                    require_all and (child_hi < s or (special_first and not members[1]))
+                    special_first and (child_hi < s or not members[1])
                 ) and emit(colour_of[1:]):
                     return True, nodes
             elif not (
-                require_all
-                and n - v < (s - child_hi) + (special_first and not members[1])
+                special_first and n - v < (s - child_hi) + (not members[1])
             ):
                 break
             members[c] = mc
@@ -234,7 +234,6 @@ def _decide(
     if n < s:
         return None, 0  # s non-empty subsets need at least s integers
     constraints = constraints if constraints is not None else ConditionSet.condition1()
-    special = constraints.seed_extension
     found: list[list[int]] = []
 
     def emit(assignment: list[int]) -> bool:
@@ -245,8 +244,7 @@ def _decide(
         s,
         n,
         no_double=constraints.no_double,
-        special_first=special,
-        require_all=special,
+        special_first=constraints.seed_extension,
         budget=budget,
         emit=emit,
     )
@@ -298,16 +296,16 @@ def find_seeds(
     s: int, n: int, limit: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[Partition]:
     """Enumerate up to ``limit`` partitions of 1..n that can start the
-    iteration indefinitely: all conditions hold and 5 avoids subset 1.
+    iteration indefinitely: validate_seed reports nothing for them.
 
     Subset 1 is the designated seed-extension subset and may be any class
     (it is exempt from first-use ordering); subsets 2..s appear in first-use
-    order, so each labelled seed shows up exactly once.  Orders below 5
-    cannot pass validate_seed cleanly and yield no results.
+    order, so each labelled seed shows up exactly once.  Orders up to
+    MIN_ORDER cannot pass validate_seed cleanly and yield no results.
     """
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
-    if limit <= 0 or n < s or n < 5:
+    if limit <= 0 or n < s or n <= MIN_ORDER:
         return []
     seeds: list[Partition] = []
 
@@ -322,7 +320,6 @@ def find_seeds(
         n,
         no_double=True,
         special_first=True,
-        require_all=True,
         seed_filters=True,
         budget=budget,
         emit=emit,

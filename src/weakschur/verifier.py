@@ -225,31 +225,30 @@ def verify(
     see garbage.  Violations are sorted by (subset, sum, smaller operand).
     An empty report with condition 1 checked certifies the order as a
     lower-bound witness; empty with all conditions means the partition can
-    seed the construction.
+    seed the construction.  With first_only, checks stop after the first
+    that finds anything (condition 1 counts per subset), and only the
+    smallest violation found is kept.
     """
     which = which if which is not None else ConditionSet.all()
-    checked = {LABEL_WELL_FORMED}
-    structural = well_formed_violations(p)
-    if structural:
-        if first_only:
-            structural = structural[:1]
-        return ViolationReport.build(structural, checked)
 
-    out: list[Violation] = []
-    if which.weak_sum_free:
-        checked.add(LABEL_WEAK)
-        for i, sub in enumerate(p.subsets, 1):
-            for v in weak_violations(sub, first_only=first_only):
-                out.append(Violation(v.kind, i, v.witness))
+    def checks():  # one (label, violations) at a time, so verify can stop early
+        if which.weak_sum_free:
+            for i, sub in enumerate(p.subsets, 1):
+                weak = weak_violations(sub, first_only=first_only)
+                yield LABEL_WEAK, [Violation(v.kind, i, v.witness) for v in weak]
+        if which.no_double:
+            yield LABEL_NO_DOUBLE, condition2_violations(p)
+        if which.seed_extension:
+            yield LABEL_SEED_EXT, condition3_violations(p)
+
+    checked = {LABEL_WELL_FORMED}
+    out = well_formed_violations(p)
+    if not out:
+        for label, found in checks():
+            checked.add(label)
+            out += found
             if first_only and out:
                 break
-    if which.no_double and not (first_only and out):
-        checked.add(LABEL_NO_DOUBLE)
-        out.extend(condition2_violations(p))
-    if which.seed_extension and not (first_only and out):
-        checked.add(LABEL_SEED_EXT)
-        out.extend(condition3_violations(p))
-
-    if first_only and out:
+    if first_only:
         out = sorted(out, key=lambda v: v.sort_key)[:1]
     return ViolationReport.build(out, checked)

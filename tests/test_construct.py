@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -19,8 +21,8 @@ from weakschur import (
     validate_seed,
     verify,
 )
-from weakschur.construct import _lookahead_advisories, _reflect, _require_seed
-from weakschur.partition import ConstructionTrace
+from weakschur.construct import _reflect, _require_seed, _seed_rule_violations
+from weakschur.partition import ConstructionTrace, Violation, ViolationReport
 
 CHAIN_ORDERS = [62, 185, 554, 1661, 4982, 14945, 44834, 134501, 403502]
 
@@ -58,7 +60,7 @@ def test_step_from_base_exact_subsets(base):
 def test_step_trace_reflections(base):
     _, trace = construct_step(base)
     # 3*21+4 = 67 minus each element above 4, per subset
-    assert trace.reflected_per_subset == (
+    assert tuple(r.elements for r in trace.reflected_per_subset) == (
         (49, 59),                      # 67-18, 67-8
         (46, 47, 48, 60, 61, 62),      # 67-21.. and 67-7..
         tuple(range(50, 59)),          # 67-17 .. 67-9
@@ -146,6 +148,20 @@ def test_step_names_the_failed_condition(subsets, failed):
     assert str(e.value) == f"cannot extend partition: {failed} fails"
 
 
+@pytest.mark.parametrize("subsets,violation", [
+    ([(1, 6), (2, 3, 9, 10), (4, 5, 7, 8)], Violation("injected-double", 1, (6, 12))),
+    ([(1,), (2,)], Violation("order-too-small", None, (2,))),
+])
+def test_step_error_carries_the_validate_seed_report(subsets, violation):
+    p = Partition.from_subsets(subsets)
+    with pytest.raises(SeedConditionError) as e:
+        construct_step(p)
+    assert e.value.report == ViolationReport.build([violation], {
+        "well-formed", "weak-sum-free", "no-double", "seed-extension", "look-ahead",
+    })
+    assert e.value.report == validate_seed(p)
+
+
 def test_step_names_well_formedness():
     with pytest.raises(SeedConditionError, match="^cannot extend partition: "
                        "well-formedness fails$"):
@@ -196,11 +212,19 @@ def _step_reference(p):
     return out, trace
 
 
+def _decoded(step):
+    """A construct_step result with each trace reflection decoded to the
+    sorted tuple the reference builds."""
+    out, trace = step
+    reflected = tuple(r.elements for r in trace.reflected_per_subset)
+    return out, replace(trace, reflected_per_subset=reflected)
+
+
 def test_step_matches_reference_along_base_chain(base):
     p = base
     for _ in range(7):  # s = 4 .. 10, up to order 44834
         out, trace = construct_step(p)
-        assert (out, trace) == _step_reference(p)
+        assert _decoded((out, trace)) == _step_reference(p)
         p = out
     assert (p.s, p.n) == (10, 44834)
 
@@ -209,7 +233,7 @@ def test_step_matches_reference_from_searched_seeds():
     seeds = find_seeds(4, 40, 200)
     assert len(seeds) == 200
     for seed in seeds:
-        assert construct_step(seed) == _step_reference(seed)
+        assert _decoded(construct_step(seed)) == _step_reference(seed)
 
 
 @given(st.sets(st.integers(1, 400)), st.integers(1, 50))
@@ -325,7 +349,7 @@ def test_distance_three_advisories_match_set_membership(first):
     p = Partition((IntSet(first), IntSet(rest)), n)
     pairs = [
         v.witness
-        for v in _lookahead_advisories(p)
+        for v in _seed_rule_violations(p)
         if v.kind == "advisory-chain-break" and v.witness[-1] - v.witness[0] == 3
     ]
     assert pairs == [(d - 3, d) for d in sorted(first) if d > 4 and d - 3 in first]

@@ -25,6 +25,15 @@ def run_demo(name: str) -> str:
     return proc.stdout
 
 
+def test_construction_chain_demo():
+    out = run_demo("01_construction_chain.py")
+    assert "  reflected into subset 1: [49, 59]\n" in out, out
+
+
+def test_verification_demo():
+    run_demo("02_verification.py")
+
+
 def test_exact_small_numbers_demo():
     out = run_demo("03_exact_small_numbers.py")
     # columns: s, exact WS, nodes, time, witness order
@@ -33,3 +42,7 @@ def test_exact_small_numbers_demo():
 
 def test_seed_hunting_demo():
     run_demo("04_seed_hunting.py")
+
+
+def test_growth_table_demo():
+    run_demo("05_growth_table.py")

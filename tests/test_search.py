@@ -231,6 +231,22 @@ def test_find_seeds_every_seed_survives_one_step():
             assert verify(q, ConditionSet.all()).passed
 
 
+def test_find_seeds_matches_the_unpruned_walk_filtered_by_validate_seed():
+    # the seed prune may drop only what validate_seed rejects; both read
+    # one table, so this is what shows a prune that loses a clean seed
+    for s, n in product(range(1, 4), range(1, 24)):
+        clean = []
+
+        def emit(assignment):
+            p = _partition_from(assignment, s, n)
+            if not validate_seed(p).violations:
+                clean.append(p)
+            return False
+
+        _search(s, n, no_double=True, special_first=True, emit=emit)
+        assert find_seeds(s, n, 10**9) == clean, (s, n)
+
+
 # --- the explicit-stack loop against the recursive reference -------------------
 
 
@@ -327,37 +343,41 @@ def _walk(search, stop_after, **kwargs):
     n=st.integers(1, 22),
     no_double=st.booleans(),
     special_first=st.booleans(),
-    require_all=st.booleans(),
     seed_filters=st.booleans(),
     budget=st.one_of(st.sampled_from([None, 0, 1]), st.integers(-3, 20000)),
     stop_after=st.one_of(st.none(), st.integers(1, 40)),
 )
 def test_loop_matches_recursive_reference(
-    s, n, no_double, special_first, require_all, seed_filters, budget, stop_after
+    s, n, no_double, special_first, seed_filters, budget, stop_after
 ):
     kwargs = dict(
         s=s,
         n=n,
         no_double=no_double,
         special_first=special_first,
-        require_all=require_all,
         seed_filters=seed_filters,
         budget=budget,
     )
+    # _search's special_first also requires every colour to be used
     assert _walk(_search, stop_after, **kwargs) == _walk(
-        _search_reference, stop_after, **kwargs
+        _search_reference, stop_after, require_all=special_first, **kwargs
     )
 
 
 def test_loop_matches_recursive_reference_on_every_small_case():
     # the exhaustive corner the property samples thinly: orders where the
-    # require_all prune and the leaf checks decide most outcomes
-    names = ("no_double", "special_first", "require_all", "seed_filters")
+    # every-colour-used prune and the leaf checks decide most outcomes
+    names = ("no_double", "special_first", "seed_filters")
     for s, n in product(range(1, 4), range(1, 11)):
-        for flags in product((False, True), repeat=4):
+        for flags in product((False, True), repeat=3):
             kwargs = dict(zip(names, flags))
             assert _walk(_search, None, s=s, n=n, **kwargs) == _walk(
-                _search_reference, None, s=s, n=n, **kwargs
+                _search_reference,
+                None,
+                s=s,
+                n=n,
+                require_all=kwargs["special_first"],
+                **kwargs,
             ), (s, n, kwargs)
 
 
@@ -374,7 +394,6 @@ def test_pinned_node_counts():
         n=21,
         no_double=True,
         special_first=True,
-        require_all=True,
         seed_filters=True,
     )
     assert outcome == (False, 4028)
