@@ -10,7 +10,8 @@ One binary, subcommand style, built for scripting pipelines:
     weakschur search seeds --s <k> --n <n> [--limit <c>] [--out-dir <dir>]
 
 Exit codes: 0 success or empty report, 1 violations found or infeasible,
-2 usage or parse error, 3 budget or cap exhausted.  ``--json`` turns every
+2 usage or parse error (or unwritable output, a closed stdout pipe
+included), 3 budget or cap exhausted.  ``--json`` turns every
 subcommand's stdout into a single JSON document with a stable schema.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -184,7 +186,8 @@ def _cmd_verify(args) -> int:
         return err
     report = verify(p, args.conditions, first_only=args.first_only)
     if args.json:
-        print(json.dumps(report.as_json(), sort_keys=True))
+        report.write_json(sys.stdout)
+        sys.stdout.write("\n")
     else:
         for v in report.violations:
             print(v.describe())
@@ -349,6 +352,20 @@ def _cmd_search_seeds(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head`): drop what is still
+        # buffered, so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return code
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

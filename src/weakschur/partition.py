@@ -18,6 +18,7 @@ starting with ``#`` are ignored when parsing and never emitted.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, NamedTuple, Optional
@@ -105,13 +106,13 @@ VIOLATION_KINDS = {
 _OTHER_KIND = ViolationKind(lambda w, _i: " ".join(map(str, w)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One broken rule, as data.
 
     kind is one of the keys of VIOLATION_KINDS.  The witness carries the
     integers that exhibit the problem (for sums: a, b, a+b with the smaller
-    operand first).
+    operand first).  Slotted: a rejected partition can carry 10^5 of these.
     """
 
     kind: str
@@ -176,6 +177,22 @@ class ViolationReport:
             "violations": [v.as_json() for v in self.violations],
             "checked_conditions": sorted(self.checked_conditions),
         }
+
+    def write_json(self, out: IO[str]) -> None:
+        """Write ``json.dumps(self.as_json(), sort_keys=True)`` to out, 1024
+        violations at a time, without building the document."""
+        vs = self.violations
+        # each kind's JSON string, encoded once
+        heads = {k: f'{{"kind": {json.dumps(k)}, "subset_index": ' for k in {v.kind for v in vs}}
+        out.write(f'{{"checked_conditions": {json.dumps(sorted(self.checked_conditions))}, '
+                  '"violations": [')
+        for k in range(0, len(vs), 1024):
+            out.write((", " if k else "") + ", ".join([
+                f'{heads[v.kind]}{"null" if v.subset_index is None else v.subset_index}, '
+                f'"witness": [{", ".join(map(str, v.witness))}]}}'
+                for v in vs[k:k + 1024]
+            ]))
+        out.write("]}")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,9 @@ class ConditionSet:
         return frozenset(out)
 
 
-def weak_violations(S: IntSet, *, first_only: bool = False) -> list[Violation]:
+def weak_violations(
+    S: IntSet, *, first_only: bool = False, subset_index: "int | None" = None
+) -> list[Violation]:
     """Every triple a < b with a+b also in S, via shifted intersection.
 
     For positive integers a != b forces a+b distinct from both, so
@@ -101,6 +103,7 @@ def weak_violations(S: IntSet, *, first_only: bool = False) -> list[Violation]:
     element probe about 3.  Runs are used when runs * (log2(candidates /
     runs) + 3) is below the candidate count: construction outputs, a few
     long runs, take that path; scattered sets keep the per-element loop.
+    Each violation is labelled with subset_index.
     """
     m = S.mask
     if not m:
@@ -110,11 +113,13 @@ def weak_violations(S: IntSet, *, first_only: bool = False) -> list[Violation]:
     probes = low.bit_count()
     runs = (low & ~(low << 1)).bit_count()
     if runs and runs * ((probes // runs).bit_length() + 3) < probes:
-        return _weak_by_runs(m, low, first_only)
-    return _weak_by_elements(m, bit_positions(low), first_only)
+        return _weak_by_runs(m, low, first_only, subset_index)
+    return _weak_by_elements(m, bit_positions(low), first_only, subset_index)
 
 
-def _weak_by_elements(m: int, operands: Iterable[int], first_only: bool) -> list[Violation]:
+def _weak_by_elements(
+    m: int, operands: Iterable[int], first_only: bool, index: "int | None" = None
+) -> list[Violation]:
     """Exact per-element probe of each ascending operand a against mask m."""
     out: list[Violation] = []
     for a in operands:
@@ -122,14 +127,16 @@ def _weak_by_elements(m: int, operands: Iterable[int], first_only: bool) -> list
         if pair:
             if first_only:
                 b = (pair & -pair).bit_length() - 1
-                return [Violation("weak-sum", None, (a, b, a + b))]
+                return [Violation("weak-sum", index, (a, b, a + b))]
             out.extend(
-                Violation("weak-sum", None, (a, b, a + b)) for b in bit_positions(pair)
+                Violation("weak-sum", index, (a, b, a + b)) for b in bit_positions(pair)
             )
     return out
 
 
-def _weak_by_runs(m: int, low: int, first_only: bool) -> list[Violation]:
+def _weak_by_runs(
+    m: int, low: int, first_only: bool, index: "int | None" = None
+) -> list[Violation]:
     """One probe per run of consecutive bits of ``low`` (operands drawn
     from mask m); runs that light it are re-enumerated per element."""
     out: list[Violation] = []
@@ -137,7 +144,7 @@ def _weak_by_runs(m: int, low: int, first_only: bool) -> list[Violation]:
     ends = bit_positions(low & ~(low >> 1))
     for lo, hi in zip(starts, ends):
         if (_smear(m, hi - lo + 1) >> lo) & m & (-1 << (lo + 1)):
-            out += _weak_by_elements(m, range(lo, hi + 1), first_only)
+            out += _weak_by_elements(m, range(lo, hi + 1), first_only, index)
             if first_only and out:
                 break
     return out
@@ -234,8 +241,7 @@ def verify(
     def checks():  # one (label, violations) at a time, so verify can stop early
         if which.weak_sum_free:
             for i, sub in enumerate(p.subsets, 1):
-                weak = weak_violations(sub, first_only=first_only)
-                yield LABEL_WEAK, [Violation(v.kind, i, v.witness) for v in weak]
+                yield LABEL_WEAK, weak_violations(sub, first_only=first_only, subset_index=i)
         if which.no_double:
             yield LABEL_NO_DOUBLE, condition2_violations(p)
         if which.seed_extension:

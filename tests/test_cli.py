@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +292,26 @@ def test_search_seeds_out_dir_is_a_file(tmp_path, capsys):
     argv = ("search", "seeds", "--s", "3", "--n", "21", "--out-dir", str(path))
     assert_cannot_write(capsys, argv, path, "File exists")
     assert path.read_text(encoding="ascii") == "not a directory\n"
+
+
+# --- a reader that closes stdout early: exit 2, never a traceback ---------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+def test_verify_into_closed_pipe(tmp_path, json_flag):
+    # one subset 1..400: ~4*10^4 weak sums, far more output than a pipe buffers
+    f = tmp_path / "all.wsp"
+    f.write_text(f"wsp 1\ns=1 n=400\n1: {' '.join(map(str, range(1, 401)))}\n",
+                 encoding="ascii")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "weakschur.cli", "verify", str(f), *json_flag],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10)
+    proc.stdout.close()  # like `| head -c 10`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""

@@ -354,10 +354,11 @@ def test_condition3_on_run_unions(S, extra):
     assert condition3_violations(p) == expected
 
 
-def _weak_by_elements_only(S, *, first_only=False):
+def _weak_by_elements_only(S, *, first_only=False, subset_index=None):
     if not S:
         return []
-    return verifier._weak_by_elements(S.mask, bit_positions(operand_mask(S)), first_only)
+    return verifier._weak_by_elements(S.mask, bit_positions(operand_mask(S)), first_only,
+                                      subset_index)
 
 
 def test_seven_step_chain_same_report_through_both_paths(monkeypatch):
