@@ -11,7 +11,8 @@ One binary, subcommand style, built for scripting pipelines:
 
 Exit codes: 0 success or empty report, 1 violations found or infeasible,
 2 usage or parse error (or unwritable output, a closed stdout pipe
-included), 3 budget or cap exhausted.  ``--json`` turns every
+included), 3 budget or cap exhausted, or a ``generate`` target past
+MAX_GENERATE_ORDER.  ``--json`` turns every
 subcommand's stdout into a single JSON document with a stable schema.
 """
 
@@ -45,6 +46,14 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+#: ``generate`` refuses, before any step, a target whose final order would
+#: exceed this.  The built-in base reaches 3631514 at s = 14 and 10894541
+#: at s = 15, whose text alone is about 80 MB.
+MAX_GENERATE_ORDER = 10**7
+#: stdout texts go out in pieces of at most this many characters; see
+#: _write_stdout
+STDOUT_PIECE = 1 << 16
 
 
 def _threads(value: str) -> str:
@@ -180,6 +189,18 @@ def _write_files(args, files, out_dir: Path | None = None) -> int | None:
     return None
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in pieces of at most STDOUT_PIECE characters.
+
+    One longer write into a pipe whose reader has gone can come back
+    short without raising, so the run would exit 0 with its output cut.
+    A piece no larger than the pipe's buffer fails with BrokenPipeError
+    instead, which main turns into exit 2.
+    """
+    for k in range(0, len(text), STDOUT_PIECE):
+        sys.stdout.write(text[k:k + STDOUT_PIECE])
+
+
 def _cmd_verify(args) -> int:
     p, err = _read_partition(args, args.file)
     if p is None:
@@ -208,6 +229,15 @@ def _cmd_generate(args) -> int:
     if steps < 0:
         return _fail(args, EXIT_USAGE,
                      f"target s={args.s} is below the seed's s={seed.s}")
+    # each step takes order m to 3m - 1; walk only until the cap is passed
+    order, k = seed.n, 0
+    while order <= MAX_GENERATE_ORDER and k < steps:
+        order, k = 3 * order - 1, k + 1
+    if order > MAX_GENERATE_ORDER:
+        return _fail(args, EXIT_BUDGET,
+                     f"target s={args.s} exceeds the order cap {MAX_GENERATE_ORDER}: "
+                     f"s={seed.s + k} already has order {order}",
+                     max_order=MAX_GENERATE_ORDER)
     try:
         chain = iterate(seed, steps)
     except SeedConditionError as e:
@@ -234,7 +264,7 @@ def _cmd_generate(args) -> int:
             "partition": None if args.out else text,
             "trace": [t.as_json() for _, t in chain] if args.trace else None,
         }
-        print(json.dumps(doc, sort_keys=True))
+        _write_stdout(json.dumps(doc, sort_keys=True) + "\n")
     else:
         if args.trace:
             for k, (_, t) in enumerate(chain, 1):
@@ -244,7 +274,7 @@ def _cmd_generate(args) -> int:
                       f"injected {t.injected[0]} and {t.injected[1]} into subset 1, "
                       f"reflected {refl} elements, new subset of {len(t.new_subset)}")
         if not args.out:
-            sys.stdout.write(text)
+            _write_stdout(text)
     return EXIT_OK
 
 
@@ -308,7 +338,7 @@ def _cmd_search_ws(args) -> int:
         doc = result.as_json()
         doc["witness_path"] = args.out if (args.out and witness_text) else None
         doc["witness"] = None if args.out else witness_text
-        print(json.dumps(doc, sort_keys=True))
+        _write_stdout(json.dumps(doc, sort_keys=True) + "\n")
     else:
         print(f"s={result.s} best_n={result.best_n} mode={result.mode} "
               f"exhausted={result.exhausted} nodes={result.nodes_visited} source=search")
@@ -338,7 +368,7 @@ def _cmd_search_seeds(args) -> int:
             "source": "search",
             "seeds": paths if args.out_dir else [serialize_partition(p) for p in seeds],
         }
-        print(json.dumps(doc, sort_keys=True))
+        _write_stdout(json.dumps(doc, sort_keys=True) + "\n")
     else:
         print(f"found {len(seeds)} seed(s) at s={args.s} n={args.n}")
         if args.out_dir:
@@ -347,7 +377,7 @@ def _cmd_search_seeds(args) -> int:
         else:
             for k, p in enumerate(seeds, 1):
                 print(f"# seed {k}")
-                sys.stdout.write(serialize_partition(p))
+                _write_stdout(serialize_partition(p))
     return EXIT_OK if seeds else EXIT_VIOLATIONS
 
 

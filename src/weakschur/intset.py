@@ -39,7 +39,8 @@ def bit_positions(mask: int) -> list[int]:
     a few dozen bits.  Witness masks are sparse: a verifier pair mask
     lists the partners b of one operand a, a handful at most and on the
     2-adic condition-3 input exactly one, yet it is as wide as the whole
-    subset; so are the run starts and ends of a construction output.
+    subset; so is the mask of run edges that ``run_bounds`` decodes for
+    a construction output.
     Whole sets (``IntSet.elements`` and iteration) take the bytewise path
     unless they fit in a few bytes.
     """
@@ -60,6 +61,20 @@ def bit_positions(mask: int) -> list[int]:
         if byte:
             extend(map((i << 3).__add__, _BYTE_BITS[byte]))
     return out
+
+
+def run_bounds(mask: int) -> tuple[list[int], list[int]]:
+    """The runs of consecutive set bits of mask, as (starts, stops): run k
+    is ``range(starts[k], stops[k])``, ascending.
+
+    Bit j of ``mask ^ (mask << 1)`` is set exactly where the mask changes
+    between j - 1 and j: at each run's first bit and just past its last.
+    That mask holds two bits per run, so one ``bit_positions`` call
+    decodes it, sparsely when the runs are few, and its even and odd
+    entries are the starts and the stops.
+    """
+    edges = bit_positions(mask ^ (mask << 1))
+    return edges[::2], edges[1::2]
 
 
 class IntSet:

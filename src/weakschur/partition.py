@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, NamedTuple, Optional
 
-from .intset import IntSet, bit_positions
+from .intset import IntSet, bit_positions, run_bounds
 
 WSP_FORMAT_VERSION = 1
 
@@ -394,6 +394,13 @@ def parse_partition(source: "str | IO[str]") -> Partition:
     return p
 
 
+#: serialize_partition cuts a subset from one number text of 1..n when it
+#: has more than RUN_MIN_COUNT elements and fewer than one run per
+#: RUN_MIN_LENGTH of them; see _by_runs.
+RUN_MIN_COUNT = 64
+RUN_MIN_LENGTH = 4
+
+
 def serialize_partition(p: Partition) -> str:
     """Emit canonical text: ascending elements, single spaces, no comments.
 
@@ -402,8 +409,58 @@ def serialize_partition(p: Partition) -> str:
     """
     p.validate()
     parts = [f"wsp {WSP_FORMAT_VERSION}\n", f"s={p.s} n={p.n}\n"]
+    numbers = None
     for i, sub in enumerate(p.subsets, 1):
-        parts.append(f"{i}: ")
-        parts.append(" ".join(map(str, sub)))
-        parts.append("\n")
+        m = sub.mask
+        if _by_runs(m):
+            if numbers is None:
+                numbers = _number_text(p.n)
+            body = _runs_text(m, numbers)
+        else:
+            body = " ".join(map(str, bit_positions(m)))
+        parts += (f"{i}: ", body, "\n")
     return "".join(parts)
+
+
+def _by_runs(mask: int) -> bool:
+    """Whether to write mask by runs rather than element by element.
+
+    The run path costs one decode of two bits per run and a slice per run;
+    the element path one decode of the whole mask and a str() per element.
+    On CPython 3.11, over masks of 1 to 4096 equal runs spread across 300
+    to 1.2*10^6 bits, the two cost the same at 4 to 6 elements a run,
+    hence RUN_MIN_LENGTH.  RUN_MIN_COUNT spares small sets, such as seeds,
+    the pass over the mask that counts the runs.
+    """
+    count = mask.bit_count()
+    return count > RUN_MIN_COUNT and (mask & ~(mask << 1)).bit_count() * RUN_MIN_LENGTH < count
+
+
+def _runs_text(mask: int, numbers: str) -> str:
+    """The elements of mask, as by ``" ".join(map(str, bit_positions(mask)))``,
+    cut from numbers = _number_text(n), n >= max(mask): run [lo, stop) is
+    the one slice from lo's offset to stop's, less the space before stop."""
+    starts, stops = run_bounds(mask)
+    return " ".join([numbers[_offset(lo):_offset(stop) - 1] for lo, stop in zip(starts, stops)])
+
+
+def _number_text(n: int) -> str:
+    """``" ".join(map(str, range(1, n + 1)))``, built a thousand numbers per
+    join above 999: ``str(p).join(["", "000 ", "001 ", ..., "999"])`` is
+    the text of p000 .. p999."""
+    full = (n + 1) // 1000  # blocks p000 .. p999 with p < full end at or below n
+    tails = ["", *[f"{k:03d} " for k in range(999)], "999"]
+    pieces = [" ".join(map(str, range(1, min(n, 999) + 1)))]
+    pieces += [str(p).join(tails) for p in range(1, full)]
+    rest = 1000 * max(full, 1)
+    if rest <= n:
+        pieces.append(" ".join(map(str, range(rest, n + 1))))
+    return " ".join(pieces)
+
+
+def _offset(k: int) -> int:
+    """Where k starts in _number_text(n) for any n >= k - 1.  Before a
+    d-digit k come k - 1 spaces, and d digits for each j < k less one for
+    each j < 10^i, i < d: d*k - (10^d - 1)/9 digits."""
+    d = len(str(k))
+    return (d + 1) * k - 1 - (10 ** d - 1) // 9

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intset import IntSet, bit_positions
+from .intset import IntSet, bit_positions, run_bounds
 from .partition import (
     Partition,
     Violation,
@@ -140,11 +140,9 @@ def _weak_by_runs(
     """One probe per run of consecutive bits of ``low`` (operands drawn
     from mask m); runs that light it are re-enumerated per element."""
     out: list[Violation] = []
-    starts = bit_positions(low & ~(low << 1))
-    ends = bit_positions(low & ~(low >> 1))
-    for lo, hi in zip(starts, ends):
-        if (_smear(m, hi - lo + 1) >> lo) & m & (-1 << (lo + 1)):
-            out += _weak_by_elements(m, range(lo, hi + 1), first_only, index)
+    for lo, stop in zip(*run_bounds(low)):
+        if (_smear(m, stop - lo) >> lo) & m & (-1 << (lo + 1)):
+            out += _weak_by_elements(m, range(lo, stop), first_only, index)
             if first_only and out:
                 break
     return out

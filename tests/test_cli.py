@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+
 import pytest
 
-from weakschur import parse_partition
-from weakschur.cli import main
+from weakschur import bound, parse_partition
+from weakschur.cli import MAX_GENERATE_ORDER, main
 
 from conftest import BASE_TEXT
 
@@ -53,10 +56,15 @@ def test_generate_verify_loop(tmp_path, capsys, k):
     assert run(capsys, "verify", str(out_file))[0] == 0
 
 
+#: sha256 of ``weakschur generate --s 12``, the order-403502 chain
+CHAIN_S12_SHA256 = "825b6277dd02f0c306463abab6d5f4aed49d63d657f42701df3c2b533e47a47f"
+
+
 def test_generate_verify_loop_deep(tmp_path, capsys):
     # top of the supported end-to-end range: order 403502
     out_file = tmp_path / "p12.wsp"
     assert run(capsys, "generate", "--s", "12", "--out", str(out_file), "--quiet")[0] == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == CHAIN_S12_SHA256
     assert run(capsys, "verify", str(out_file))[0] == 0
 
 
@@ -70,6 +78,47 @@ def test_generate_rejects_target_below_seed(capsys):
     code, _, err = run(capsys, "generate", "--s", "2")
     assert code == 2
     assert "below the seed" in err
+
+
+# --- the order cap: refused before any step, so nothing is allocated ------
+
+
+def test_order_cap_sits_between_s13_and_s16():
+    assert bound(13) <= MAX_GENERATE_ORDER < bound(16)
+
+
+def generate_peak(capsys, *argv):
+    """(exit code, stderr, tracemalloc peak) of one in-process generate."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "generate", *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == ""
+    return code, err, peak
+
+
+@pytest.mark.parametrize("s", ["16", "1000000000000000000"])
+def test_generate_refuses_target_past_order_cap(capsys, s):
+    code, err, peak = generate_peak(capsys, "--s", s)
+    assert code == 3
+    assert err == (f"error: target s={s} exceeds the order cap {MAX_GENERATE_ORDER}: "
+                   "s=15 already has order 10894541\n")
+    assert peak < 1_000_000
+
+
+def test_generate_order_cap_from_seed_file(tmp_path, capsys):
+    seed = tmp_path / "seed.wsp"
+    seed.write_text(BASE_TEXT, encoding="ascii")
+    code, err, peak = generate_peak(capsys, "--s", "16", "--seed", str(seed), "--json")
+    assert code == 3
+    assert json.loads(err) == {
+        "error": f"target s=16 exceeds the order cap {MAX_GENERATE_ORDER}: "
+                 "s=15 already has order 10894541",
+        "max_order": MAX_GENERATE_ORDER,
+    }
+    assert peak < 1_000_000
 
 
 def test_generate_with_seed_file(tmp_path, capsys):
@@ -299,19 +348,31 @@ def test_search_seeds_out_dir_is_a_file(tmp_path, capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def read_then_close(argv, nbytes=10):
+    """Run the CLI, read nbytes of its stdout and close it, like `| head -c`;
+    return the exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "weakschur.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(nbytes)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+def test_generate_into_closed_pipe(json_flag):
+    # 2.7 MB of text: one write of it into the closed pipe came back short
+    # without raising, and generate exited 0 with its output cut
+    assert read_then_close(["generate", "--s", "12", *json_flag]) == (2, b"")
+
+
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
 def test_verify_into_closed_pipe(tmp_path, json_flag):
     # one subset 1..400: ~4*10^4 weak sums, far more output than a pipe buffers
     f = tmp_path / "all.wsp"
     f.write_text(f"wsp 1\ns=1 n=400\n1: {' '.join(map(str, range(1, 401)))}\n",
                  encoding="ascii")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen([sys.executable, "-m", "weakschur.cli", "verify", str(f), *json_flag],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(10)
-    proc.stdout.close()  # like `| head -c 10`
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert err == b""
+    assert read_then_close(["verify", str(f), *json_flag]) == (2, b"")

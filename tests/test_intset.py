@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakschur import IntSet
-from weakschur.intset import bit_positions
+from weakschur.intset import bit_positions, run_bounds
 
 small_sets = st.lists(st.integers(min_value=1, max_value=500), max_size=80)
 
@@ -210,3 +211,28 @@ def test_from_mask_round_trips_sparse_and_dense(positions, data):
         s = IntSet.from_mask(mask)
         assert s.elements == tuple(expected)
         assert IntSet(s.elements).mask == mask
+
+
+# --- run_bounds: one decode of the edges of every run ---------------------
+
+def naive_runs(mask):
+    """(starts, stops) of the runs of 1s in mask's binary digits, low bit first."""
+    runs = [m.span() for m in re.finditer("1+", format(mask, "b")[::-1])]
+    return [a for a, _ in runs], [b for _, b in runs]
+
+
+@given(st.integers(min_value=0, max_value=2**3000))
+def test_run_bounds_matches_naive(mask):
+    assert run_bounds(mask) == naive_runs(mask)
+
+
+# few long runs over a wide mask: their edges take the sparse decoder
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10**5),
+                          st.integers(min_value=1, max_value=3000)), max_size=30))
+def test_run_bounds_of_long_runs(runs):
+    mask = 0
+    for lo, length in runs:
+        mask |= ((1 << length) - 1) << lo
+    starts, stops = run_bounds(mask)
+    assert (starts, stops) == naive_runs(mask)
+    assert sum(((1 << b) - (1 << a) for a, b in zip(starts, stops))) == mask

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -12,11 +13,14 @@ from weakschur import (
     Violation,
     WspFormatError,
     base_partition,
+    find_seeds,
     iterate,
     parse_partition,
     serialize_partition,
     well_formed_violations,
 )
+from weakschur import partition
+from weakschur.intset import bit_positions
 from weakschur.partition import VIOLATION_KINDS
 
 from conftest import BASE_TEXT
@@ -356,3 +360,69 @@ def test_describe_text_of_every_kind(kind, index, witness, text):
 
 def test_described_kinds_cover_the_table():
     assert {k for k, *_ in DESCRIBED} - {"something-else"} == set(VIOLATION_KINDS)
+
+
+# --- serialize: runs cut from one number text, or element by element ------
+
+@pytest.mark.parametrize("n", [1, 9, 10, 999, 1000, 1001, 1999, 2000, 2001,
+                               10**6 - 1, 10**6, 1210505])
+def test_number_text_equals_plain_join(n):
+    assert partition._number_text(n) == " ".join(map(str, range(1, n + 1)))
+
+
+number_text = functools.lru_cache(partition._number_text)
+
+
+@st.composite
+def run_masks(draw):
+    """(mask, n): random runs within 1..n, some across a change of digit
+    count (9|10, 99|100, ..., 999999|1000000) and some ending at n."""
+    n = draw(st.sampled_from([40, 2345, 1000123]))
+    mask = 0
+    for _ in range(draw(st.integers(0, 12))):
+        lo, length = draw(st.integers(1, n)), draw(st.integers(1, 300))
+        mask |= ((1 << length) - 1) << lo
+    for d in (10**k for k in range(1, 7)):
+        if d <= n and draw(st.booleans()):
+            below, above = draw(st.integers(1, min(d - 1, 40))), draw(st.integers(0, 40))
+            mask |= ((1 << (below + above)) - 1) << (d - below)
+    if draw(st.booleans()):
+        mask |= (2 << n) - (1 << (n + 1 - draw(st.integers(1, min(n, 500)))))
+    return mask & ((2 << n) - 2), n
+
+
+@given(run_masks())
+def test_run_path_equals_element_path(case):
+    mask, n = case
+    assert partition._runs_text(mask, number_text(n)) == " ".join(map(str, bit_positions(mask)))
+
+
+def test_scattered_sets_stay_on_element_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run path taken on a scattered set")
+
+    monkeypatch.setattr(partition, "_runs_text", refuse)
+    seeds = find_seeds(4, 40, limit=200)
+    assert len(seeds) == 200
+    # subset k+1 holds the x in 1..50000 with 2-adic valuation k
+    two_adic = Partition.from_subsets([range(1 << k, 50001, 2 << k) for k in range(16)], 50000)
+    rng = random.Random(1)
+    colours = [[] for _ in range(12)]
+    for x in range(1, 8001):
+        colours[rng.randrange(12)].append(x)
+    coloured = Partition.from_subsets(colours, 8000)
+    for p in (*seeds, two_adic, coloured):
+        assert parse_partition(serialize_partition(p)) == p
+
+
+def test_chain_output_same_text_by_runs_and_by_elements(monkeypatch):
+    p = iterate(base_partition(), 7)[-1][0]
+    run_calls = []
+    by_runs = partition._runs_text
+    monkeypatch.setattr(partition, "_runs_text",
+                        lambda *args: run_calls.append(1) or by_runs(*args))
+    text = serialize_partition(p)
+    assert len(run_calls) == 8  # subsets 3..10; 1 and 2 hold 1 and 3 elements a run
+    monkeypatch.setattr(partition, "_by_runs", lambda mask: False)
+    assert serialize_partition(p) == text
+    assert parse_partition(text) == p
