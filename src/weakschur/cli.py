@@ -49,7 +49,7 @@ EXIT_BUDGET = 3
 
 #: ``generate`` refuses, before any step, a target whose final order would
 #: exceed this.  The built-in base reaches 3631514 at s = 14 and 10894541
-#: at s = 15, whose text alone is about 80 MB.
+#: at s = 15, whose text alone would be about 90 MB.
 MAX_GENERATE_ORDER = 10**7
 #: stdout texts go out in pieces of at most this many characters; see
 #: _write_stdout
@@ -264,7 +264,8 @@ def _cmd_generate(args) -> int:
             "partition": None if args.out else text,
             "trace": [t.as_json() for _, t in chain] if args.trace else None,
         }
-        _write_stdout(json.dumps(doc, sort_keys=True) + "\n")
+        _write_stdout(json.dumps(doc, sort_keys=True))
+        sys.stdout.write("\n")
     else:
         if args.trace:
             for k, (_, t) in enumerate(chain, 1):
@@ -338,7 +339,8 @@ def _cmd_search_ws(args) -> int:
         doc = result.as_json()
         doc["witness_path"] = args.out if (args.out and witness_text) else None
         doc["witness"] = None if args.out else witness_text
-        _write_stdout(json.dumps(doc, sort_keys=True) + "\n")
+        _write_stdout(json.dumps(doc, sort_keys=True))
+        sys.stdout.write("\n")
     else:
         print(f"s={result.s} best_n={result.best_n} mode={result.mode} "
               f"exhausted={result.exhausted} nodes={result.nodes_visited} source=search")
@@ -368,7 +370,8 @@ def _cmd_search_seeds(args) -> int:
             "source": "search",
             "seeds": paths if args.out_dir else [serialize_partition(p) for p in seeds],
         }
-        _write_stdout(json.dumps(doc, sort_keys=True) + "\n")
+        _write_stdout(json.dumps(doc, sort_keys=True))
+        sys.stdout.write("\n")
     else:
         print(f"found {len(seeds)} seed(s) at s={args.s} n={args.n}")
         if args.out_dir:

@@ -3,9 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
-
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -348,14 +347,14 @@ def test_search_seeds_out_dir_is_a_file(tmp_path, capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def read_then_close(argv, nbytes=10):
-    """Run the CLI, read nbytes of its stdout and close it, like `| head -c`;
-    return the exit code and stderr."""
+def read_then_close(argv):
+    """Run the CLI, read 10 bytes of its stdout and close it, like
+    `| head -c 10`; return the exit code and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen([sys.executable, "-m", "weakschur.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(nbytes)
+    assert proc.stdout.read(10)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -364,8 +363,8 @@ def read_then_close(argv, nbytes=10):
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
 def test_generate_into_closed_pipe(json_flag):
-    # 2.7 MB of text: one write of it into the closed pipe came back short
-    # without raising, and generate exited 0 with its output cut
+    # 2.7 MB of text: one write of it into a closed pipe comes back short
+    # without raising, which would let generate exit 0 with its output cut
     assert read_then_close(["generate", "--s", "12", *json_flag]) == (2, b"")
 
 
