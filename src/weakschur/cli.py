@@ -11,9 +11,12 @@ One binary, subcommand style, built for scripting pipelines:
 
 Exit codes: 0 success or empty report, 1 violations found or infeasible,
 2 usage or parse error (or unwritable output, a closed stdout pipe
-included), 3 budget or cap exhausted, or a ``generate`` target past
-MAX_GENERATE_ORDER.  ``--json`` turns every
-subcommand's stdout into a single JSON document with a stable schema.
+included), 3 budget or cap exhausted, or an input past a size cap checked
+before any work: a ``generate`` target past MAX_GENERATE_ORDER, a
+``bound``/``table`` subset count past MAX_BOUND_S, or a ``search seeds``
+order or ``search ws`` subset count past MAX_SEARCH_ORDER.  ``--json``
+turns every subcommand's stdout into a single JSON document with a stable
+schema.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .construct import (
@@ -32,6 +36,7 @@ from .construct import (
     bound,
     bound_table,
     iterate,
+    validate_seed,
 )
 from .partition import (
     WSP_FORMAT_VERSION,
@@ -51,6 +56,13 @@ EXIT_BUDGET = 3
 #: exceed this.  The built-in base reaches 3631514 at s = 14 and 10894541
 #: at s = 15, whose text alone would be about 90 MB.
 MAX_GENERATE_ORDER = 10**7
+#: ``bound`` and ``table`` refuse a larger subset count: the order of
+#: s = 9013 has 4301 digits, past CPython's default int-to-str limit of 4300
+MAX_BOUND_S = 9012
+#: ``search`` refuses an order (or, for ``ws``, a subset count) past this
+#: before it starts: the walk sizes its per-level lists by both, and at
+#: 10^6 they already take up to 48 MB
+MAX_SEARCH_ORDER = 10**6
 #: stdout texts go out in pieces of at most this many characters; see
 #: _write_stdout
 STDOUT_PIECE = 1 << 16
@@ -100,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="check a .wsp file")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("file", help="partition file to check")
     p.add_argument(
         "--conditions",
@@ -115,15 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("generate", parents=[common], help="iterate the construction")
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--s", type=int, required=True, metavar="K", help="target subset count")
     p.add_argument("--seed", metavar="FILE", help="seed .wsp file (default: built-in order-21 base)")
     p.add_argument("--out", metavar="FILE", help="write the final partition here instead of stdout")
     p.add_argument("--trace", action="store_true", help="report where each step's elements came from")
 
     p = sub.add_parser("bound", parents=[common], help="closed-form order for a subset count")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--s", type=int, required=True, metavar="K", help="subset count (>= 3)")
 
     p = sub.add_parser("table", parents=[common], help="bound table with literature context")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--max-s", type=int, required=True, metavar="K", help="last subset count (>= 3)")
     p.add_argument("--markdown", action="store_true", help="render a markdown table")
 
@@ -131,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_sub = p.add_subparsers(dest="search_command", required=True)
 
     q = search_sub.add_parser("ws", parents=[common], help="exact weak Schur number scan")
+    q.set_defaults(run=_cmd_search_ws)
     q.add_argument("--s", type=int, required=True, metavar="K", help="subset count")
     q.add_argument("--cap", type=int, default=100, metavar="N", help="largest order to scan (default 100)")
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="NODES",
@@ -138,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", metavar="FILE", help="write the best witness as .wsp")
 
     q = search_sub.add_parser("seeds", parents=[common], help="find iterable seed partitions")
+    q.set_defaults(run=_cmd_search_seeds)
     q.add_argument("--s", type=int, required=True, metavar="K", help="subset count")
     q.add_argument("--n", type=int, required=True, metavar="N", help="order")
     q.add_argument("--limit", type=int, default=10, metavar="C", help="stop after this many seeds (default 10)")
@@ -148,13 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(args, code: int, message: str, **fields) -> int:
-    if args is not None and getattr(args, "json", False):
+def _fail(args, code: int, message: str, **fields) -> NoReturn:
+    """Report an error on stderr and exit with code through _dispatch."""
+    if args.json:
         doc = {"error": message, **fields}
         print(json.dumps(doc, sort_keys=True), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)
-    return code
+    raise SystemExit(code)
 
 
 def _info(args, message: str) -> None:
@@ -163,21 +182,21 @@ def _info(args, message: str) -> None:
 
 
 def _read_partition(args, path: str):
-    """Parse a .wsp file or return (None, exit_code)."""
+    """Parse a .wsp file, or fail with exit 2."""
     try:
         with open(path, encoding="ascii") as fh:
-            return parse_partition(fh), None
+            return parse_partition(fh)
     except OSError as e:
-        return None, _fail(args, EXIT_USAGE, f"cannot read {path}: {e.strerror}")
+        _fail(args, EXIT_USAGE, f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError:
-        return None, _fail(args, EXIT_USAGE, f"{path} is not ASCII text")
+        _fail(args, EXIT_USAGE, f"{path} is not ASCII text")
     except WspFormatError as e:
-        return None, _fail(args, EXIT_USAGE, str(e), line=e.line)
+        _fail(args, EXIT_USAGE, str(e), line=e.line)
 
 
-def _write_files(args, files, out_dir: Path | None = None) -> int | None:
-    """Create out_dir (when given) and write each (path, text) pair; return
-    None, or exit 2 after reporting the path that could not be written."""
+def _write_files(args, files, out_dir: Path | None = None) -> None:
+    """Create out_dir (when given) and write each (path, text) pair, or
+    fail with exit 2 naming the path that could not be written."""
     path = out_dir
     try:
         if out_dir is not None:
@@ -185,8 +204,7 @@ def _write_files(args, files, out_dir: Path | None = None) -> int | None:
         for path, text in files:
             Path(path).write_text(text, encoding="ascii")
     except OSError as e:
-        return _fail(args, EXIT_USAGE, f"cannot write {path}: {e.strerror}")
-    return None
+        _fail(args, EXIT_USAGE, f"cannot write {path}: {e.strerror}")
 
 
 def _write_stdout(text: str) -> None:
@@ -201,10 +219,15 @@ def _write_stdout(text: str) -> None:
         sys.stdout.write(text[k:k + STDOUT_PIECE])
 
 
+def _print_json(doc: dict) -> None:
+    """Write doc as one JSON line; the newline goes separately, so a large
+    document is not copied to append it."""
+    _write_stdout(json.dumps(doc, sort_keys=True))
+    sys.stdout.write("\n")
+
+
 def _cmd_verify(args) -> int:
-    p, err = _read_partition(args, args.file)
-    if p is None:
-        return err
+    p = _read_partition(args, args.file)
     report = verify(p, args.conditions, first_only=args.first_only)
     if args.json:
         report.write_json(sys.stdout)
@@ -219,53 +242,42 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.seed:
-        seed, err = _read_partition(args, args.seed)
-        if seed is None:
-            return err
-    else:
-        seed = base_partition()
+    seed = _read_partition(args, args.seed) if args.seed else base_partition()
     steps = args.s - seed.s
     if steps < 0:
-        return _fail(args, EXIT_USAGE,
-                     f"target s={args.s} is below the seed's s={seed.s}")
+        _fail(args, EXIT_USAGE, f"target s={args.s} is below the seed's s={seed.s}")
     # each step takes order m to 3m - 1; walk only until the cap is passed
     order, k = seed.n, 0
     while order <= MAX_GENERATE_ORDER and k < steps:
         order, k = 3 * order - 1, k + 1
     if order > MAX_GENERATE_ORDER:
-        return _fail(args, EXIT_BUDGET,
-                     f"target s={args.s} exceeds the order cap {MAX_GENERATE_ORDER}: "
-                     f"s={seed.s + k} already has order {order}",
-                     max_order=MAX_GENERATE_ORDER)
+        _fail(args, EXIT_BUDGET,
+              f"target s={args.s} exceeds the order cap {MAX_GENERATE_ORDER}: "
+              f"s={seed.s + k} already has order {order}",
+              max_order=MAX_GENERATE_ORDER)
+    if not steps:
+        # still refuse to echo a seed that the first step would refuse
+        blocking = validate_seed(seed).blocking()
+        if blocking:
+            _fail(args, EXIT_VIOLATIONS, f"seed fails checks: {blocking[0].describe()}")
     try:
         chain = iterate(seed, steps)
     except SeedConditionError as e:
-        return _fail(args, EXIT_VIOLATIONS, str(e))
+        _fail(args, EXIT_VIOLATIONS, str(e))
     final = chain[-1][0] if chain else seed
-    if not chain:
-        # zero steps: still refuse to echo a seed that could not be extended
-        report = verify(seed)
-        if not report.passed:
-            return _fail(args, EXIT_VIOLATIONS,
-                         f"seed fails checks: {report.violations[0].describe()}")
     text = serialize_partition(final)
     if args.out:
-        err = _write_files(args, [(args.out, text)])
-        if err is not None:
-            return err
+        _write_files(args, [(args.out, text)])
         _info(args, f"wrote s={final.s} n={final.n} to {args.out}")
     if args.json:
-        doc = {
+        _print_json({
             "s": final.s,
             "n": final.n,
             "orders": [p.n for p, _ in chain],
             "out": args.out,
             "partition": None if args.out else text,
             "trace": [t.as_json() for _, t in chain] if args.trace else None,
-        }
-        _write_stdout(json.dumps(doc, sort_keys=True))
-        sys.stdout.write("\n")
+        })
     else:
         if args.trace:
             for k, (_, t) in enumerate(chain, 1):
@@ -279,31 +291,39 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_cap(args, flag: str, value: int, cap: int, field: str) -> None:
+    """Fail with exit 3 when a size argument is past its cap, before the
+    work it sizes starts."""
+    if value > cap:
+        _fail(args, EXIT_BUDGET, f"{flag} {value} exceeds the cap {cap}", **{field: cap})
+
+
 def _cmd_bound(args) -> int:
+    _check_cap(args, "--s", args.s, MAX_BOUND_S, "max_s")
     try:
         value = bound(args.s)
     except ValueError as e:
-        return _fail(args, EXIT_USAGE, str(e))
+        _fail(args, EXIT_USAGE, str(e))
     if args.json:
-        print(json.dumps({"s": args.s, "order": value, "source": "construction"},
-                         sort_keys=True))
+        _print_json({"s": args.s, "order": value, "source": "construction"})
     else:
         print(value)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
+    _check_cap(args, "--max-s", args.max_s, MAX_BOUND_S, "max_s")
     try:
         seq = bound_table(args.max_s)
     except ValueError as e:
-        return _fail(args, EXIT_USAGE, str(e))
+        _fail(args, EXIT_USAGE, str(e))
     rows = []
     for k, order in enumerate(seq.orders):
         s = seq.start_s + k
         lit = [{"order": o, "kind": kind} for o, kind in LITERATURE_ORDERS.get(s, ())]
         rows.append({"s": s, "order": order, "literature": lit})
     if args.json:
-        print(json.dumps({"start_s": seq.start_s, "rows": rows}, sort_keys=True))
+        _print_json({"start_s": seq.start_s, "rows": rows})
         return EXIT_OK
 
     def lit_text(row):
@@ -325,22 +345,21 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search_ws(args) -> int:
+    # every order the scan visits is at least s
+    _check_cap(args, "--s", args.s, MAX_SEARCH_ORDER, "max_order")
     try:
         result = compute_ws(args.s, args.cap, budget=args.budget)
     except ValueError as e:
-        return _fail(args, EXIT_USAGE, str(e))
+        _fail(args, EXIT_USAGE, str(e))
     witness_text = serialize_partition(result.witness) if result.witness else None
     if args.out and witness_text:
-        err = _write_files(args, [(args.out, witness_text)])
-        if err is not None:
-            return err
+        _write_files(args, [(args.out, witness_text)])
         _info(args, f"wrote witness n={result.best_n} to {args.out}")
     if args.json:
         doc = result.as_json()
         doc["witness_path"] = args.out if (args.out and witness_text) else None
         doc["witness"] = None if args.out else witness_text
-        _write_stdout(json.dumps(doc, sort_keys=True))
-        sys.stdout.write("\n")
+        _print_json(doc)
     else:
         print(f"s={result.s} best_n={result.best_n} mode={result.mode} "
               f"exhausted={result.exhausted} nodes={result.nodes_visited} source=search")
@@ -348,30 +367,27 @@ def _cmd_search_ws(args) -> int:
 
 
 def _cmd_search_seeds(args) -> int:
+    _check_cap(args, "--n", args.n, MAX_SEARCH_ORDER, "max_order")
     try:
         seeds = find_seeds(args.s, args.n, args.limit, budget=args.budget)
     except ValueError as e:
-        return _fail(args, EXIT_USAGE, str(e))
+        _fail(args, EXIT_USAGE, str(e))
     except SearchBudgetExceeded as e:
-        return _fail(args, EXIT_BUDGET, str(e), nodes_visited=e.nodes_visited)
+        _fail(args, EXIT_BUDGET, str(e), nodes_visited=e.nodes_visited)
     paths = []
     if args.out_dir:
         out_dir = Path(args.out_dir)
         paths = [str(out_dir / f"seed_{k:04d}.wsp") for k in range(1, len(seeds) + 1)]
-        err = _write_files(args, zip(paths, map(serialize_partition, seeds)), out_dir)
-        if err is not None:
-            return err
+        _write_files(args, zip(paths, map(serialize_partition, seeds)), out_dir)
     if args.json:
-        doc = {
+        _print_json({
             "s": args.s,
             "n": args.n,
             "limit": args.limit,
             "found": len(seeds),
             "source": "search",
             "seeds": paths if args.out_dir else [serialize_partition(p) for p in seeds],
-        }
-        _write_stdout(json.dumps(doc, sort_keys=True))
-        sys.stdout.write("\n")
+        })
     else:
         print(f"found {len(seeds)} seed(s) at s={args.s} n={args.n}")
         if args.out_dir:
@@ -399,25 +415,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as e:
-        # argparse exits 0 for --help/--version, 2 for usage errors
+        # argparse exits 0 for --help/--version and 2 for usage errors;
+        # _fail exits with the code it was given
         return int(e.code or 0)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "bound":
-        return _cmd_bound(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "search":
-        if args.search_command == "ws":
-            return _cmd_search_ws(args)
-        return _cmd_search_seeds(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

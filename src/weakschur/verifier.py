@@ -34,13 +34,12 @@ class ConditionSet:
     regardless of the flags; the other checks never run on a partition
     that failed it."""
 
-    well_formed: bool = True
     weak_sum_free: bool = True
     no_double: bool = True
     seed_extension: bool = True
 
     def __post_init__(self):
-        if not (self.well_formed or self.weak_sum_free or self.no_double or self.seed_extension):
+        if not (self.weak_sum_free or self.no_double or self.seed_extension):
             raise ValueError("at least one check must be selected")
 
     @classmethod
@@ -68,17 +67,6 @@ class ConditionSet:
             no_double=LABEL_NO_DOUBLE in chosen,
             seed_extension=LABEL_SEED_EXT in chosen,
         )
-
-    @property
-    def labels(self) -> frozenset:
-        out = {LABEL_WELL_FORMED} if self.well_formed else set()
-        if self.weak_sum_free:
-            out.add(LABEL_WEAK)
-        if self.no_double:
-            out.add(LABEL_NO_DOUBLE)
-        if self.seed_extension:
-            out.add(LABEL_SEED_EXT)
-        return frozenset(out)
 
 
 def weak_violations(

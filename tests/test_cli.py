@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from weakschur import bound, parse_partition
-from weakschur.cli import MAX_GENERATE_ORDER, main
+from weakschur.cli import MAX_BOUND_S, MAX_GENERATE_ORDER, MAX_SEARCH_ORDER, main
 
-from conftest import BASE_TEXT
+from conftest import BASE_TEXT, GOLDEN_DIR
 
 
 def run(capsys, *argv):
@@ -86,11 +86,12 @@ def test_order_cap_sits_between_s13_and_s16():
     assert bound(13) <= MAX_GENERATE_ORDER < bound(16)
 
 
-def generate_peak(capsys, *argv):
-    """(exit code, stderr, tracemalloc peak) of one in-process generate."""
+def run_peak(capsys, *argv):
+    """(exit code, stderr, tracemalloc peak) of one in-process run that
+    writes nothing to stdout."""
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "generate", *argv)
+        code, out, err = run(capsys, *argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -100,7 +101,7 @@ def generate_peak(capsys, *argv):
 
 @pytest.mark.parametrize("s", ["16", "1000000000000000000"])
 def test_generate_refuses_target_past_order_cap(capsys, s):
-    code, err, peak = generate_peak(capsys, "--s", s)
+    code, err, peak = run_peak(capsys, "generate", "--s", s)
     assert code == 3
     assert err == (f"error: target s={s} exceeds the order cap {MAX_GENERATE_ORDER}: "
                    "s=15 already has order 10894541\n")
@@ -110,7 +111,7 @@ def test_generate_refuses_target_past_order_cap(capsys, s):
 def test_generate_order_cap_from_seed_file(tmp_path, capsys):
     seed = tmp_path / "seed.wsp"
     seed.write_text(BASE_TEXT, encoding="ascii")
-    code, err, peak = generate_peak(capsys, "--s", "16", "--seed", str(seed), "--json")
+    code, err, peak = run_peak(capsys, "generate", "--s", "16", "--seed", str(seed), "--json")
     assert code == 3
     assert json.loads(err) == {
         "error": f"target s=16 exceeds the order cap {MAX_GENERATE_ORDER}: "
@@ -118,6 +119,51 @@ def test_generate_order_cap_from_seed_file(tmp_path, capsys):
         "max_order": MAX_GENERATE_ORDER,
     }
     assert peak < 1_000_000
+
+
+# --- bound and table: subset counts whose order has too many digits -------
+
+
+def test_bound_cap_is_the_last_s_with_at_most_4300_digits():
+    assert len(str(bound(MAX_BOUND_S))) == 4300
+    assert bound(MAX_BOUND_S + 1) >= 10**4300
+
+
+def test_bound_at_cap_prints_every_digit(capsys):
+    code, out, _ = run(capsys, "bound", "--s", str(MAX_BOUND_S))
+    assert code == 0
+    assert out == f"{bound(MAX_BOUND_S)}\n"
+    assert len(out) == 4301
+
+
+@pytest.mark.parametrize("command", ["bound --s", "table --max-s"])
+@pytest.mark.parametrize("s", ["9013", "1000000000000000000"])
+def test_bound_and_table_refuse_s_past_cap(capsys, command, s):
+    code, err, peak = run_peak(capsys, *command.split(), s)
+    assert code == 3
+    assert err == f"error: {command.split()[1]} {s} exceeds the cap {MAX_BOUND_S}\n"
+    assert peak < 1_000_000
+
+
+# --- search: orders whose per-level lists would not fit ------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "seeds", "--s", "3", "--n"),
+    ("search", "ws", "--cap", str(10**12), "--s"),
+], ids=["seeds", "ws"])
+@pytest.mark.parametrize("order", [MAX_SEARCH_ORDER + 1, 10**12])
+def test_search_refuses_order_past_cap(capsys, argv, order):
+    code, err, peak = run_peak(capsys, *argv, str(order))
+    assert code == 3
+    assert err == f"error: {argv[-1]} {order} exceeds the cap {MAX_SEARCH_ORDER}\n"
+    assert peak < 1_000_000
+
+
+def test_search_ws_large_cap_still_answers(capsys):
+    code, out, _ = run(capsys, "search", "ws", "--s", "3", "--cap", str(10**12), "--json")
+    assert code == 0
+    assert json.loads(out)["best_n"] == 23
 
 
 def test_generate_with_seed_file(tmp_path, capsys):
@@ -134,6 +180,41 @@ def test_generate_rejects_unusable_seed(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--s", "3", "--seed", str(seed))
     assert code == 1
     assert "cannot extend" in err
+
+
+# --- zero steps: generate refuses what the first step would refuse ------
+
+#: both pass conditions 1..3 but trip a blocking seed rule
+ORDER_10_SEED = "wsp 1\ns=3 n=10\n1: 1 6\n2: 2 3 9 10\n3: 4 5 7 8\n"
+ORDER_2_SEED = "wsp 1\ns=2 n=2\n1: 1\n2: 2\n"
+
+
+@pytest.mark.parametrize("text, reason", [
+    (ORDER_10_SEED,
+     "injected-double: 6 present, so the step would inject its double 12 in subset 1"),
+    (ORDER_2_SEED, "order-too-small: order 2 is below 4, the smallest the step extends"),
+], ids=["order10", "order2"])
+def test_generate_zero_steps_refuses_blocked_seed(tmp_path, capsys, text, reason):
+    seed = tmp_path / "seed.wsp"
+    seed.write_text(text, encoding="ascii")
+    s = parse_partition(text).s
+    code, out, err = run(capsys, "generate", "--s", str(s), "--seed", str(seed))
+    assert (code, out) == (1, "")
+    assert err == f"error: seed fails checks: {reason}\n"
+    # one step on, the step's own guard refuses the same seed
+    code, out, err = run(capsys, "generate", "--s", str(s + 1), "--seed", str(seed))
+    assert (code, out) == (1, "")
+    assert "cannot extend" in err
+
+
+@pytest.mark.parametrize("name", ["base_21.wsp", "advisory_seed_6.wsp", "chain_4_62.wsp"])
+def test_generate_zero_steps_echoes_extendable_seed(capsys, name):
+    path = GOLDEN_DIR / name
+    text = path.read_text(encoding="ascii")
+    s = parse_partition(text).s
+    code, out, _ = run(capsys, "generate", "--s", str(s), "--seed", str(path))
+    assert code == 0
+    assert out == text
 
 
 @pytest.mark.parametrize("command", [("generate", "--s", "4", "--seed"), ("verify",)])
@@ -375,3 +456,58 @@ def test_verify_into_closed_pipe(tmp_path, json_flag):
     f.write_text(f"wsp 1\ns=1 n=400\n1: {' '.join(map(str, range(1, 401)))}\n",
                  encoding="ascii")
     assert read_then_close(["verify", str(f), *json_flag]) == (2, b"")
+
+
+# --- every refusal with --json: one JSON document on stderr, none on stdout
+
+#: (argv, exit code, the stderr document); {tmp} is the test's directory
+JSON_FAILURES = [
+    (("verify", "{tmp}/missing.wsp"), 2,
+     {"error": "cannot read {tmp}/missing.wsp: No such file or directory"}),
+    (("verify", "{tmp}/nonascii.wsp"), 2, {"error": "{tmp}/nonascii.wsp is not ASCII text"}),
+    (("verify", "{tmp}/garbage.wsp"), 2, {"error": "line 3: malformed element 'x'", "line": 3}),
+    (("generate", "--s", "2"), 2, {"error": "target s=2 is below the seed's s=3"}),
+    (("generate", "--s", "16"), 3,
+     {"error": f"target s=16 exceeds the order cap {MAX_GENERATE_ORDER}: "
+               "s=15 already has order 10894541", "max_order": MAX_GENERATE_ORDER}),
+    (("generate", "--s", "3", "--seed", "{tmp}/order10.wsp"), 1,
+     {"error": "seed fails checks: injected-double: 6 present, so the step would inject "
+               "its double 12 in subset 1"}),
+    (("generate", "--s", "4", "--seed", "{tmp}/order10.wsp"), 1,
+     {"error": "cannot extend partition at step 0: "
+               "injected-double guard ((n+2)/2 outside subset 1) fails"}),
+    (("generate", "--s", "4", "--out", "{tmp}/nodir/x.wsp"), 2,
+     {"error": "cannot write {tmp}/nodir/x.wsp: No such file or directory"}),
+    (("bound", "--s", "2"), 2, {"error": "bound is defined for s >= 3"}),
+    (("bound", "--s", "9013"), 3, {"error": "--s 9013 exceeds the cap 9012", "max_s": 9012}),
+    (("table", "--max-s", "2"), 2, {"error": "s_max must be >= 3"}),
+    (("table", "--max-s", "9013"), 3,
+     {"error": "--max-s 9013 exceeds the cap 9012", "max_s": 9012}),
+    (("search", "ws", "--s", "0"), 2, {"error": "s must be >= 1"}),
+    (("search", "ws", "--s", "1000001"), 3,
+     {"error": "--s 1000001 exceeds the cap 1000000", "max_order": 1000000}),
+    (("search", "ws", "--s", "2", "--out", "{tmp}/nodir/w.wsp"), 2,
+     {"error": "cannot write {tmp}/nodir/w.wsp: No such file or directory"}),
+    (("search", "seeds", "--s", "0", "--n", "21"), 2, {"error": "s and n must be >= 1"}),
+    (("search", "seeds", "--s", "3", "--n", "1000001"), 3,
+     {"error": "--n 1000001 exceeds the cap 1000000", "max_order": 1000000}),
+    (("search", "seeds", "--s", "3", "--n", "21", "--budget", "10"), 3,
+     {"error": "search budget exhausted after 10 nodes", "nodes_visited": 10}),
+    (("search", "seeds", "--s", "3", "--n", "21", "--out-dir", "{tmp}/taken"), 2,
+     {"error": "cannot write {tmp}/taken: File exists"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, doc", JSON_FAILURES,
+                         ids=[" ".join(argv).replace("{tmp}/", "") for argv, _, _ in JSON_FAILURES])
+def test_json_failure_documents(tmp_path, capsys, argv, code, doc):
+    (tmp_path / "nonascii.wsp").write_bytes("wsp 1\ns=1 n=2\n1: 1 \u0662\n".encode("utf-8"))
+    (tmp_path / "garbage.wsp").write_text("wsp 1\ns=2 n=3\n1: 1 x\n2: 2 3\n", encoding="ascii")
+    (tmp_path / "order10.wsp").write_text(ORDER_10_SEED, encoding="ascii")
+    (tmp_path / "taken").write_text("not a directory\n", encoding="ascii")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, out, err = run(capsys, *argv, "--json")
+    assert (got, out) == (code, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
+                               for k, v in doc.items()}

@@ -241,7 +241,7 @@ def test_condition_set_parsing():
     with pytest.raises(ValueError):
         ConditionSet.from_labels("4")
     with pytest.raises(ValueError):
-        ConditionSet(False, False, False, False)
+        ConditionSet(False, False, False)
 
 
 # --- cross-checks and properties -----------------------------------------
