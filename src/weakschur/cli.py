@@ -32,11 +32,11 @@ from . import __version__
 from .construct import (
     LITERATURE_ORDERS,
     SeedConditionError,
+    _require_seed,
     base_partition,
     bound,
     bound_table,
     iterate,
-    validate_seed,
 )
 from .partition import (
     WSP_FORMAT_VERSION,
@@ -255,12 +255,9 @@ def _cmd_generate(args) -> int:
               f"target s={args.s} exceeds the order cap {MAX_GENERATE_ORDER}: "
               f"s={seed.s + k} already has order {order}",
               max_order=MAX_GENERATE_ORDER)
-    if not steps:
-        # still refuse to echo a seed that the first step would refuse
-        blocking = validate_seed(seed).blocking()
-        if blocking:
-            _fail(args, EXIT_VIOLATIONS, f"seed fails checks: {blocking[0].describe()}")
     try:
+        if not steps:  # still refuse to echo a seed that the first step would refuse
+            _require_seed(seed)
         chain = iterate(seed, steps)
     except SeedConditionError as e:
         _fail(args, EXIT_VIOLATIONS, str(e))

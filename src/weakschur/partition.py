@@ -303,6 +303,15 @@ def parse_partition(source: "str | IO[str]") -> Partition:
     bad header, an order the text is too short to cover, malformed line or
     element, duplicate integer, element out of range, empty subset, or
     incomplete coverage of 1..n.
+
+    A subset line that looks like one serialize_partition writes by runs
+    (more than RUN_MIN_COUNT elements, long runs; see _run_heavy) is read
+    run by run against the number text of 1..n, as the inverse of that
+    writer: per run, a few comparisons of text slices and two slice writes,
+    instead of a str, an int and four checks per element.  Any line that
+    is not canonical, has short runs, or fails a check goes through the
+    per-token loop instead, so every error names the same token and line.
+    The number text is never longer than the input text.
     """
     text = source.read() if hasattr(source, "read") else source
     # ASCII line rules: str.splitlines() and str.strip() would also break
@@ -344,6 +353,7 @@ def parse_partition(source: "str | IO[str]") -> Partition:
     seen = bytearray(n + 1)
     count = 0
     subsets = []
+    numbers = None  # the run path's number text, built for its first line
     for i in range(1, s + 1):
         no, line = next_line(f"subset line '{i}: ...'")
         m = _SUBSET_RE.fullmatch(line)
@@ -352,8 +362,20 @@ def parse_partition(source: "str | IO[str]") -> Partition:
         label = m.group(1)
         if label.lstrip("0") != str(i):  # int() would reject very long labels
             raise WspFormatError(f"expected subset {i}, found {label}", no)
+        start = m.start(2)
+        elements = line.count(" ", start)  # if canonical: one space before each
+        if elements > RUN_MIN_COUNT and _run_heavy(line, start):
+            if numbers is None:
+                # no longer than the text, whatever the header says
+                top = min(n, _numbers_within(len(text)))
+                numbers = _number_text(top)
+            mask = _runs_mask(line, start, elements, numbers, top, seen)
+            if mask is not None:
+                count += mask.bit_count()
+                subsets.append(IntSet.from_mask(mask))
+                continue
         tokens = m.group(2).split()
-        if not _ELEMENTS_RE.fullmatch(line, m.start(2)):
+        if not _ELEMENTS_RE.fullmatch(line, start):
             bad = next((t for t in tokens if not (t.isascii() and t.isdigit())), None)
             if bad is None:
                 raise WspFormatError("elements must be separated by spaces or tabs", no)
@@ -396,9 +418,133 @@ def parse_partition(source: "str | IO[str]") -> Partition:
 
 #: serialize_partition cuts a subset from one number text of 1..n when it
 #: has more than RUN_MIN_COUNT elements and fewer than one run per
-#: RUN_MIN_LENGTH of them; see _by_runs.
+#: RUN_MIN_LENGTH of them (see _by_runs); parse_partition reads such a line
+#: back by runs (see _run_heavy and _runs_mask)
 RUN_MIN_COUNT = 64
 RUN_MIN_LENGTH = 4
+#: adjacent token pairs _run_heavy samples from a line
+RUN_SAMPLES = 32
+
+
+def _run_heavy(line: str, start: int) -> bool:
+    """Whether the element list line[start:] looks like one the serializer
+    writes by runs: at least RUN_MIN_LENGTH - 1 of every RUN_MIN_LENGTH of
+    RUN_SAMPLES adjacent token pairs, spread evenly over the text, are
+    consecutive integers.  It only steers; _runs_mask checks the text."""
+    step = (len(line) - start) // (RUN_SAMPLES + 1)
+    hits = 0
+    for q in range(1, RUN_SAMPLES + 1):
+        a = line.rfind(" ", start, start + q * step) + 1
+        b = line.find(" ", a)
+        c = line.find(" ", b + 1)
+        first, second = line[a:b], line[b + 1:c if c >= 0 else len(line)]
+        if 0 < len(first) < 20 and first.isascii() and first.isdigit():
+            hits += second == str(int(first) + 1)
+    return hits * RUN_MIN_LENGTH >= (RUN_MIN_LENGTH - 1) * RUN_SAMPLES
+
+
+def _runs_mask(
+    line: str, start: int, count: int, numbers: str, top: int, seen: bytearray
+) -> Optional[int]:
+    """The mask of the element list line[start:], which holds count spaces,
+    read run by run from numbers = _number_text(top); or None when the
+    line must go through the per-token loop instead: it is not canonical
+    (one space before each element, no leading zero, strictly ascending),
+    an element is past top or already in seen, or it has at least one run
+    per RUN_MIN_LENGTH elements.  seen is marked only when a mask is
+    returned.
+
+    Each run starts at a token lo and ends where the line stops matching
+    numbers from lo's offset (see _match_run).  This is the inverse of
+    _runs_text."""
+    end = len(line)
+    width = len(str(top))
+    pos = start + 1
+    if line[start:pos] != " ":
+        return None
+    starts: list[int] = []
+    stops: list[int] = []
+    prev = hint = 0
+    while True:
+        sp = line.find(" ", pos)
+        tok = line[pos:sp if sp >= 0 else end]
+        d = len(tok)
+        if not (tok.isascii() and tok.isdigit()) or tok[0] == "0" or d > width:
+            return None
+        lo = int(tok)
+        if lo <= prev or lo > top:  # prev: the stop of the last run
+            return None
+        good, q = _match_run(line, pos, lo, d, numbers, top, hint)
+        stop = lo + good + 1
+        if seen.find(1, lo, stop) >= 0:
+            return None
+        starts.append(lo)
+        stops.append(stop)
+        if len(starts) * RUN_MIN_LENGTH >= count:
+            return None
+        if q >= end:
+            break
+        prev, hint, pos = stop, good, q + 1
+    # the runs are disjoint, so the mask is the sum of 2^stop - 2^lo over
+    # them: a sparse mask of the stops less one of the starts
+    size = (stops[-1] >> 3) + 1
+    heads, tails = bytearray(size), bytearray(size)
+    for lo, stop in zip(starts, stops):
+        seen[lo:stop] = b"\x01" * (stop - lo)
+        heads[lo >> 3] |= 1 << (lo & 7)
+        tails[stop >> 3] |= 1 << (stop & 7)
+    return int.from_bytes(tails, "little") - int.from_bytes(heads, "little")
+
+
+def _match_run(
+    line: str, pos: int, lo: int, d: int, numbers: str, top: int, hint: int
+) -> tuple[int, int]:
+    """(k, q) for the run that starts with lo, whose d-digit text is at
+    line[pos]: from pos on, line holds the text of lo, lo + 1, ..., lo + k
+    as numbers = _number_text(top) does, with k as large as it goes, and
+    that text ends at line[q], a space or the line end.
+
+    k is found with an exponential search and a bisection, the first guess
+    hint (the last run's length less one, which Cantor-like subsets
+    repeat); each comparison covers only text not yet matched, so a run
+    costs O(log k) comparisons and one pass over its text."""
+    o = _offset(lo)
+    band = 10 ** d - lo  # lo + k has d digits while k < band
+
+    def extend(k: int) -> int:
+        """Where the text of lo + k ends in numbers if the line matches
+        numbers on to there, else -1."""
+        stop = o + (k + 1) * (d + 1) - 1 if k < band else _offset(lo + k + 1) - 1
+        return stop if line.startswith(numbers[at:stop], pos + at - o) else -1
+
+    # the line matches numbers from o through the text of lo + good, which
+    # ends at numbers[at]; it does not match through lo + bad
+    good, bad, at = 0, top - lo + 1, o + d
+    if 0 < hint < bad:
+        stop = extend(hint)
+        if stop < 0:
+            bad = hint
+        else:
+            good, at = hint, stop
+    step = 1
+    while good + step < bad:
+        stop = extend(good + step)
+        if stop < 0:
+            bad = good + step
+            break
+        good, at, step = good + step, stop, 2 * step
+    while bad - good > 1:
+        k = (good + bad) // 2
+        stop = extend(k)
+        if stop < 0:
+            bad = k
+        else:
+            good, at = k, stop
+    q = pos + at - o
+    if q < len(line) and line[q] != " ":  # lo + good is the head of a longer token
+        good -= 1
+        q = pos + _offset(lo + good + 1) - 1 - o
+    return good, q
 
 
 def serialize_partition(p: Partition) -> str:
@@ -456,6 +602,18 @@ def _number_text(n: int) -> str:
     if rest <= n:
         pieces.append(" ".join(map(str, range(rest, n + 1))))
     return " ".join(pieces)
+
+
+def _numbers_within(limit: int) -> int:
+    """The largest k whose _number_text(k) has at most limit characters."""
+    lo, hi = 0, limit  # _number_text(k) has at least k characters
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _offset(mid + 1) - 1 <= limit:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _offset(k: int) -> int:

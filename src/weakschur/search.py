@@ -261,10 +261,13 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
 
     Exact when infeasibility at best_n + 1 was proven inside the budget;
     capped when the order cap or the budget cut the scan short.  Budget
-    exhaustion is encoded in the result, never raised.
+    exhaustion is encoded in the result, never raised.  The scan starts at
+    order s, so a cap below s, which would scan nothing, is a ValueError.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    if cap < s:
+        raise ValueError(f"cap {cap} is below s={s}: the scan starts at order s")
     best_n = 0
     witness: Optional[Partition] = None
     nodes_total = 0

@@ -69,6 +69,19 @@ class ConditionSet:
         )
 
 
+#: the block path of weak_violations cuts masks into blocks of this many
+#: bits (a multiple of 8); a set narrower than BLOCK_MIN_BLOCKS blocks
+#: never considers it
+BLOCK_BITS = 4096
+BLOCK_MIN_BLOCKS = 4
+#: one big-int operation on a W-word mask costs about W + PROBE_WORDS word
+#: steps, a block probe two of them on a BLOCK_BITS-bit block, and cutting
+#: a mask into blocks about CUT_COST operations on the whole mask (CPython
+#: 3.11)
+PROBE_WORDS = 64
+CUT_COST = 16
+
+
 def weak_violations(
     S: IntSet, *, first_only: bool = False, subset_index: "int | None" = None
 ) -> list[Violation]:
@@ -78,20 +91,32 @@ def weak_violations(
     enumerating a < b is exactly the no-three-distinct-members criterion.
     Bit k of ``mask & (mask >> a)`` says k and k+a are both members.  Only
     a with 2a < max(S) can open a triple; these candidates are probed one
-    of two ways, with identical results:
+    of three ways, with identical results:
 
     * per element: one full-width probe per candidate a;
     * per run: one probe per run [lo, hi] of consecutive candidates,
       ``(smear(mask, hi-lo+1) >> lo) & mask`` above lo.  It is zero when
       no a in the run has a partner b > a, so the run is cleared; when it
       is not (a triple, or just a double a + a), that run alone is
-      re-probed per element, so the list stays exhaustive and in order.
+      re-probed per element;
+    * per block: the mask is cut into BLOCK_BITS-bit blocks.  A candidate
+      a in block i can only meet a partner b in an occupied block j >= i
+      whose target block i+j or i+j+1 is occupied, so a is probed once per
+      such j on two blocks' width, not on the whole mask.  A probe that
+      fires is a real triple, and that a alone is re-probed per element.
 
-    A run probe costs about log2(run length) + 3 big-int operations, an
-    element probe about 3.  Runs are used when runs * (log2(candidates /
-    runs) + 3) is below the candidate count: construction outputs, a few
-    long runs, take that path; scattered sets keep the per-element loop.
-    Each violation is labelled with subset_index.
+    Re-probes keep the list exhaustive and in order.  One rule picks the
+    path from the mask alone, counting big-int operations on the whole
+    mask: one per candidate for the element path (a probe takes about
+    four, so the rule leans to this simplest path), log2(run length) + 3
+    per run for the run path, and for the block path two per block probe,
+    scaled by a block's width against the mask's (see PROBE_WORDS).
+    Scattered sets keep the per-element loop, long runs take the run path,
+    and the older, Cantor-like subsets of a construction output (few
+    elements per run, few occupied blocks) take the block path.  A set
+    narrower than BLOCK_MIN_BLOCKS blocks, or cheaper by the other paths
+    than cutting it into blocks, skips the block count after one or two
+    comparisons.  Each violation is labelled with subset_index.
     """
     m = S.mask
     if not m:
@@ -100,7 +125,15 @@ def weak_violations(
     low = m & ((2 << ((top - 1) >> 1)) - 1)  # the candidates a <= (max-1)/2
     probes = low.bit_count()
     runs = (low & ~(low << 1)).bit_count()
-    if runs and runs * ((probes // runs).bit_length() + 3) < probes:
+    by_runs = runs * ((probes // runs).bit_length() + 3) if runs else probes
+    cost = min(probes, by_runs)
+    if top >= BLOCK_MIN_BLOCKS * BLOCK_BITS and cost > CUT_COST:
+        plan = _block_plan(m, low, BLOCK_BITS)
+        block_probes = sum(cand.bit_count() * len(js) for _, cand, js in plan[1])
+        if (2 * block_probes * (BLOCK_BITS // 64 + PROBE_WORDS)
+                < cost * ((top >> 6) + PROBE_WORDS)):
+            return _weak_by_blocks(m, plan, first_only, subset_index)
+    if by_runs < probes:
         return _weak_by_runs(m, low, first_only, subset_index)
     return _weak_by_elements(m, bit_positions(low), first_only, subset_index)
 
@@ -146,6 +179,61 @@ def _smear(m: int, length: int) -> int:
     if width < length:
         out |= out >> (length - width)
     return out
+
+
+def _block_plan(
+    m: int, low: int, w: int
+) -> tuple[list[int], list[tuple[int, int, list[int]]], int]:
+    """The block path's work for mask m and its candidates low, in w-bit
+    blocks (w a multiple of 8): (blocks, work, w).  blocks holds the
+    blocks of m, lowest first, and one zero block past them.  work holds
+    (i, the candidates of block i, the js) for each block i with
+    candidates; the js are the occupied blocks j >= i whose block i+j or
+    i+j+1 is occupied, the only ones that can hold a partner b."""
+    size = w >> 3
+    raw = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+    blocks = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+    blocks.append(0)
+    occupied = 0
+    for k, block in enumerate(blocks):
+        if block:
+            occupied |= 1 << k
+    targets = occupied | occupied >> 1  # bit k: block k or k+1 is occupied
+    work = []
+    span = low.bit_length()  # the candidates are the bits of m below span
+    last = (span - 1) // w
+    for i in range(last + 1 if low else 0):
+        cand = blocks[i] if i < last else blocks[i] & ((1 << (span - i * w)) - 1)
+        js = bit_positions(occupied & (targets >> i) & (-1 << i)) if cand else None
+        if js:
+            work.append((i, cand, js))
+    return blocks, work, w
+
+
+def _weak_by_blocks(
+    m: int, plan: tuple, first_only: bool, index: "int | None" = None
+) -> list[Violation]:
+    """Block-sparse probe over plan = _block_plan(m, low, w): each
+    candidate a' of block i against each partner block j of the plan, as
+    ``(T >> a') & B_j`` where B_j is block j and T the two target blocks
+    i+j and i+j+1 (with b > a as well when j = i).  A probe that fires
+    names a real triple, so exactly the operands with a partner are
+    re-probed per element, in ascending order."""
+    blocks, work, w = plan
+    lit: list[int] = []
+    for i, cand, js in work:
+        operands = bit_positions(cand)
+        found: set[int] = set()
+        for j in js:
+            block, target = blocks[j], blocks[i + j] | blocks[i + j + 1] << w
+            if j == i:
+                found.update([a for a in operands if (target >> a) & block & (-2 << a)])
+            else:
+                found.update([a for a in operands if (target >> a) & block])
+        lit += sorted(i * w + a for a in found)
+        if first_only and lit:
+            break
+    return _weak_by_elements(m, lit, first_only, index)
 
 
 def weak_violations_naive(S: IntSet) -> list[Violation]:

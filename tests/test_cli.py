@@ -160,6 +160,18 @@ def test_search_refuses_order_past_cap(capsys, argv, order):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+@pytest.mark.parametrize("argv", [("--s", "200"), ("--s", "5", "--cap", "4")],
+                         ids=["s200", "s5-cap4"])
+def test_search_ws_cap_below_s_is_a_usage_error(capsys, argv, json_flag):
+    # the scan starts at order s, so it would scan nothing: not a capped result
+    s, cap = argv[1], argv[3] if len(argv) > 2 else "100"
+    code, out, err = run(capsys, "search", "ws", *argv, *json_flag)
+    assert (code, out) == (2, "")
+    message = f"cap {cap} is below s={s}: the scan starts at order s"
+    assert err == (json.dumps({"error": message}) + "\n" if json_flag else f"error: {message}\n")
+
+
 def test_search_ws_large_cap_still_answers(capsys):
     code, out, _ = run(capsys, "search", "ws", "--s", "3", "--cap", str(10**12), "--json")
     assert code == 0
@@ -189,22 +201,25 @@ ORDER_10_SEED = "wsp 1\ns=3 n=10\n1: 1 6\n2: 2 3 9 10\n3: 4 5 7 8\n"
 ORDER_2_SEED = "wsp 1\ns=2 n=2\n1: 1\n2: 2\n"
 
 
+ORDER_3_SEED = "wsp 1\ns=2 n=3\n1: 1 2\n2: 3\n"
+
+
 @pytest.mark.parametrize("text, reason", [
-    (ORDER_10_SEED,
-     "injected-double: 6 present, so the step would inject its double 12 in subset 1"),
-    (ORDER_2_SEED, "order-too-small: order 2 is below 4, the smallest the step extends"),
-], ids=["order10", "order2"])
+    (ORDER_10_SEED, "injected-double guard ((n+2)/2 outside subset 1)"),
+    (ORDER_2_SEED, "minimum order 4"),
+    (ORDER_3_SEED, "minimum order 4"),
+], ids=["order10", "order2", "order3"])
 def test_generate_zero_steps_refuses_blocked_seed(tmp_path, capsys, text, reason):
     seed = tmp_path / "seed.wsp"
     seed.write_text(text, encoding="ascii")
     s = parse_partition(text).s
     code, out, err = run(capsys, "generate", "--s", str(s), "--seed", str(seed))
     assert (code, out) == (1, "")
-    assert err == f"error: seed fails checks: {reason}\n"
-    # one step on, the step's own guard refuses the same seed
+    assert err == f"error: cannot extend partition: {reason} fails\n"
+    # one step on, the step's own guard refuses the seed for the same reason
     code, out, err = run(capsys, "generate", "--s", str(s + 1), "--seed", str(seed))
     assert (code, out) == (1, "")
-    assert "cannot extend" in err
+    assert err == f"error: cannot extend partition at step 0: {reason} fails\n"
 
 
 @pytest.mark.parametrize("name", ["base_21.wsp", "advisory_seed_6.wsp", "chain_4_62.wsp"])
@@ -471,8 +486,8 @@ JSON_FAILURES = [
      {"error": f"target s=16 exceeds the order cap {MAX_GENERATE_ORDER}: "
                "s=15 already has order 10894541", "max_order": MAX_GENERATE_ORDER}),
     (("generate", "--s", "3", "--seed", "{tmp}/order10.wsp"), 1,
-     {"error": "seed fails checks: injected-double: 6 present, so the step would inject "
-               "its double 12 in subset 1"}),
+     {"error": "cannot extend partition: "
+               "injected-double guard ((n+2)/2 outside subset 1) fails"}),
     (("generate", "--s", "4", "--seed", "{tmp}/order10.wsp"), 1,
      {"error": "cannot extend partition at step 0: "
                "injected-double guard ((n+2)/2 outside subset 1) fails"}),
@@ -486,6 +501,8 @@ JSON_FAILURES = [
     (("search", "ws", "--s", "0"), 2, {"error": "s must be >= 1"}),
     (("search", "ws", "--s", "1000001"), 3,
      {"error": "--s 1000001 exceeds the cap 1000000", "max_order": 1000000}),
+    (("search", "ws", "--s", "200"), 2,
+     {"error": "cap 100 is below s=200: the scan starts at order s"}),
     (("search", "ws", "--s", "2", "--out", "{tmp}/nodir/w.wsp"), 2,
      {"error": "cannot write {tmp}/nodir/w.wsp: No such file or directory"}),
     (("search", "seeds", "--s", "0", "--n", "21"), 2, {"error": "s and n must be >= 1"}),

@@ -1,9 +1,10 @@
 import functools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakschur import (
@@ -20,7 +21,7 @@ from weakschur import (
     well_formed_violations,
 )
 from weakschur import partition
-from weakschur.intset import bit_positions
+from weakschur.intset import bit_positions, run_bounds
 from weakschur.partition import VIOLATION_KINDS
 
 from conftest import BASE_TEXT
@@ -426,3 +427,184 @@ def test_chain_output_same_text_by_runs_and_by_elements(monkeypatch):
     monkeypatch.setattr(partition, "_by_runs", lambda mask: False)
     assert serialize_partition(p) == text
     assert parse_partition(text) == p
+
+
+# --- the run-sliced parse: the inverse of the run-sliced writer -----------
+
+
+@st.composite
+def run_heavy_partitions(draw):
+    """Two or three subsets of 1..n, n up to about 10^6, whose first is
+    mostly long runs: runs crossing 9|10, 99|100, ... (run_masks), runs that
+    end at n, and single-element runs between the long ones."""
+    mask, n = draw(run_masks())
+    for _ in range(draw(st.integers(0, 8))):
+        x = draw(st.integers(2, n - 1))
+        mask = (mask | 1 << x) & ~(1 << (x - 1)) & ~(1 << (x + 1))
+    rest = ((2 << n) - 2) & ~mask
+    if draw(st.booleans()):  # a third subset: the top of the rest
+        cut = draw(st.integers(1, n))
+        subsets = [mask, rest & ((1 << cut) - 1), rest & ~((1 << cut) - 1)]
+    else:
+        subsets = [mask, rest]
+    subsets = [IntSet.from_mask(m) for m in subsets if m]
+    return Partition(tuple(subsets), n)
+
+
+@settings(deadline=None, max_examples=60)  # a number text of 10^6 per example
+@given(run_heavy_partitions())
+def test_round_trip_run_heavy_partitions(p):
+    assert parse_partition(serialize_partition(p)) == p
+
+
+@st.composite
+def run_lines(draw):
+    """(mask, n) from run_masks, sometimes with a run ending at x followed
+    by an element whose text starts with that of x + 1 (x = 12, then 134;
+    x = 99, then 1000), where matching the number text runs into the
+    middle of a token."""
+    mask, n = draw(run_masks())
+    if draw(st.booleans()):
+        x = draw(st.integers(2, max(2, n // 10 - 2)))
+        length = draw(st.integers(1, min(x - 1, 200)))
+        y = 10 * (x + 1) + draw(st.integers(0, 9))
+        if y <= n:
+            mask &= ~((1 << y) - (1 << (x + 1)))
+            mask |= (1 << (x + 1)) - (1 << (x + 1 - length)) | 1 << y
+    return mask, n
+
+
+@given(run_lines())
+def test_runs_mask_inverts_runs_text(case):
+    # the reader returns the writer's mask for every line the writer cuts by
+    # runs, and leaves every other line to the per-token loop
+    mask, n = case
+    line = "1: " + partition._runs_text(mask, number_text(n))
+    count = mask.bit_count()
+    seen = bytearray(n + 1)
+    got = partition._runs_mask(line, 2, count, number_text(n), n, seen)
+    if (mask & ~(mask << 1)).bit_count() * partition.RUN_MIN_LENGTH < count:
+        assert got == mask
+        assert int(seen[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2) == mask
+    else:
+        assert got is None
+        assert not any(seen)
+
+
+def _parse_by_tokens(text):
+    """parse_partition with every line through the per-token loop."""
+    with mock.patch.object(partition, "_run_heavy", lambda line, start: False):
+        return parse_partition(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except WspFormatError as e:
+        return (e.message, e.line)
+
+
+#: a nine-subset chain (n = 14945); subsets 3..9 are read by runs
+CHAIN = iterate(base_partition(), 6)[-1][0]
+CHAIN_TEXT = serialize_partition(CHAIN)
+CHAIN_LINES = CHAIN_TEXT.split("\n")
+
+
+def test_chain_text_is_read_by_runs_with_the_same_result():
+    calls = []
+    by_runs = partition._runs_mask
+    with mock.patch.object(partition, "_runs_mask",
+                           lambda *args: calls.append(args[0][:2]) or by_runs(*args)):
+        p = parse_partition(CHAIN_TEXT)
+    assert calls == [f"{i}:" for i in range(3, 10)]
+    assert p == _parse_by_tokens(CHAIN_TEXT)
+    assert serialize_partition(p) == CHAIN_TEXT
+
+
+#: mutations of token k of a run-heavy line's tokens t, n the order
+_MUTATIONS = {
+    "leading zero": lambda t, k, n: t[:k] + ["0" + t[k]] + t[k + 1:],
+    "tab": lambda t, k, n: t[:max(k, 1) - 1] + ["\t".join(t[max(k, 1) - 1:max(k, 1) + 1])]
+                           + t[max(k, 1) + 1:],
+    "double space": lambda t, k, n: t[:k] + [" " + t[k]] + t[k + 1:],
+    "descending pair": lambda t, k, n: (t[:k - 1] + [t[k], t[k - 1]] + t[k + 1:] if k
+                                        else [t[1], t[0]] + t[2:]),
+    "duplicate": lambda t, k, n: t[:k + 1] + [t[k]] + t[k + 1:],
+    "run grown by one": lambda t, k, n: t[:k + 1] + [str(int(t[k]) + 1)] + t[k + 1:],
+    "n+1 after it": lambda t, k, n: t[:k + 1] + [str(n + 1)] + t[k + 1:],
+}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_parse_fuzz_mutated_chain_text_matches_the_token_loop(data):
+    i = data.draw(st.integers(3, 9))  # a subset read by runs
+    starts, stops = run_bounds(CHAIN.subset(i).mask)
+    r = data.draw(st.integers(0, len(starts) - 1))
+    # a run's first element, its last, or one inside it
+    x = data.draw(st.sampled_from([starts[r], stops[r] - 1, (starts[r] + stops[r]) // 2]))
+    kind = data.draw(st.sampled_from(sorted(_MUTATIONS)))
+    tokens = CHAIN_LINES[i + 1].split(" ")[1:]
+    tokens = _MUTATIONS[kind](tokens, tokens.index(str(x)), CHAIN.n)
+    lines = list(CHAIN_LINES)
+    lines[i + 1] = " ".join([f"{i}:", *tokens])
+    text = "\n".join(lines)
+    assert _outcome(parse_partition, text) == _outcome(_parse_by_tokens, text)
+
+
+@pytest.mark.parametrize("subset, old, new, error", [
+    # valid but not canonical: the per-token loop reads the same partition
+    (3, " 9 10 ", " 09 10 ", None),
+    (3, " 9 10 ", " 9\t10 ", None),
+    (3, " 9 10 ", " 9  10 ", None),
+    (3, " 17 50 ", " 50 17 ", None),
+    # errors: a duplicate at a run border, a run grown by one into subset 1,
+    # n + 1 after a run's end, and a zero
+    (3, " 17 50 ", " 17 17 50 ", ("duplicate integer 17", 5)),
+    (3, " 17 50 ", " 17 18 50 ", ("duplicate integer 18", 5)),
+    (9, " 9967", " 9967 14946", ("element 14946 exceeds order 14945", 11)),
+    (5, " 63 65 ", " 0 65 ", ("element 0 must be >= 1", 7)),
+], ids=["leading-zero", "tab", "double-space", "descending", "duplicate", "run-grown",
+        "n+1", "zero"])
+def test_mutated_chain_line_parses_as_the_token_loop_does(subset, old, new, error):
+    lines = list(CHAIN_LINES)
+    line = lines[subset + 1]
+    assert old in line + " "
+    lines[subset + 1] = (line + " ").replace(old, new, 1).rstrip(" ")
+    text = "\n".join(lines)
+    expected = CHAIN if error is None else error
+    assert _outcome(parse_partition, text) == _outcome(_parse_by_tokens, text) == expected
+
+
+def test_scattered_lines_stay_off_the_run_parse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run parse taken on a scattered line")
+
+    monkeypatch.setattr(partition, "_runs_mask", refuse)
+    texts = [serialize_partition(p) for p in find_seeds(4, 40, limit=200)]
+    two_adic = Partition.from_subsets([range(1 << k, 50001, 2 << k) for k in range(16)], 50000)
+    rng = random.Random(1)
+    colours = [[] for _ in range(12)]
+    for x in range(1, 8001):
+        colours[rng.randrange(12)].append(x)
+    coloured = Partition.from_subsets(colours, 8000)
+    texts += [serialize_partition(two_adic), serialize_partition(coloured)]
+    for text in texts:
+        assert parse_partition(text) == _parse_by_tokens(text)
+
+
+def test_hostile_header_with_a_long_run_line_allocates_a_small_multiple_of_the_text():
+    # the header claims as large an order as the text length allows; the
+    # line is one long run, so the run parse reads it, and its number text
+    # is sized by what the text can hold, not by the header
+    body = "1: " + " ".join(map(str, range(1, 200001)))
+    text = f"wsp 1\ns=1 n={len(body)}\n{body}\n"  # the order fits the text
+    tracemalloc.start()
+    try:
+        with pytest.raises(WspFormatError, match="integer 200001 missing") as e:
+            parse_partition(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.value.line == 2
+    assert peak < 5 * len(text)

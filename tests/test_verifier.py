@@ -14,6 +14,7 @@ from weakschur import (
     condition2_violations,
     condition3_violations,
     construct_step,
+    find_seeds,
     iterate,
     strong_violations,
     verify,
@@ -392,3 +393,138 @@ def test_cost_rule_keeps_scattered_sets_on_element_path(monkeypatch):
     rng = random.Random(3)
     scattered = IntSet(rng.sample(range(1, 4001), 300))
     assert weak_violations(scattered) == weak_violations_naive(scattered)
+
+
+# --- block-sparse probes against the element path and the naive scan ----
+
+
+@st.composite
+def block_cases(draw):
+    """(S, w): a set cut into w-bit blocks, w tiny so that a few hundred
+    integers span many blocks, with triples planted across block borders:
+    both operands in one block (i = j), in neighbouring blocks (j = i+1),
+    and sums that land in block i+j+1 rather than i+j."""
+    w = draw(st.sampled_from([8, 64]))
+    blocks = draw(st.integers(min_value=2, max_value=24))
+    top = blocks * w
+    elems = set(draw(st.lists(st.integers(1, top), max_size=40)))
+    for lo, length in draw(st.lists(st.tuples(st.integers(1, top), st.integers(0, 3 * w)),
+                                    max_size=3)):
+        elems.update(range(lo, min(lo + length, top) + 1))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, max(0, blocks // 2 - 1)))
+        j = i + draw(st.integers(0, 1))
+        a = draw(st.integers(max(1, i * w), i * w + w - 1))
+        b = draw(st.integers(max(a + 1, j * w), max(a + 1, j * w + w - 1)))
+        if draw(st.booleans()):  # push a + b over into block i+j+1
+            b = max(b, (i + j + 1) * w - a)
+        elems.update((a, b, a + b))
+    return IntSet(elems), w
+
+
+def block_path(S, w, first_only=False, subset_index=None):
+    low = operand_mask(S)
+    return verifier._weak_by_blocks(S.mask, verifier._block_plan(S.mask, low, w),
+                                    first_only, subset_index)
+
+
+@settings(deadline=None)  # the naive O(|S|^2) scan dominates
+@given(block_cases(), st.sampled_from([None, 3]))
+def test_block_path_equals_element_path_and_naive(case, index):
+    S, w = case
+    assume(S)
+    by_elements = _weak_by_elements_only(S, subset_index=index)
+    assert block_path(S, w, subset_index=index) == by_elements
+    assert [replace(v, subset_index=None) for v in by_elements] == weak_violations_naive(S)
+    first = block_path(S, w, first_only=True, subset_index=index)
+    assert first == _weak_by_elements_only(S, first_only=True, subset_index=index)
+    assert first == by_elements[:1]
+
+
+def test_block_path_finds_triples_across_block_borders():
+    w = 8
+    cases = [
+        (1, 5, 6),     # i = j = 0, sum in block 0
+        (3, 6, 9),     # i = j = 0, sum in block i+j+1 = 1
+        (2, 9, 11),    # j = i+1, sum in block i+j = 1
+        (7, 15, 22),   # j = i+1, sum in block i+j+1 = 2
+        (17, 30, 47),  # j = i+1 = 3, sum in block i+j = 5
+        (20, 22, 42),  # i = j = 2, sum in block i+j+1 = 5
+    ]
+    for triple in cases:
+        S = IntSet([*triple, 200])
+        assert block_path(S, w) == [Violation("weak-sum", None, triple)]
+
+
+def test_cost_rule_picks_each_path_on_a_twelve_subset_chain(monkeypatch):
+    p = iterate(base_partition(), 9)[-1][0]
+    taken = []
+    for name in ("_weak_by_blocks", "_weak_by_runs", "_weak_by_elements"):
+        path = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name,
+                            lambda *args, _p=path, _n=name: taken.append(_n) or _p(*args))
+    paths = []
+    for sub in p.subsets:
+        taken.clear()
+        assert weak_violations(sub) == []
+        paths.append(taken[0])
+    # the Cantor-like subsets 1-4 by blocks, the long runs by runs, and the
+    # one-run newest subset (a single candidate) by elements
+    assert paths == ["_weak_by_blocks"] * 4 + ["_weak_by_runs"] * 7 + ["_weak_by_elements"]
+    taken.clear()
+    assert condition3_violations(p) == []
+    assert taken[0] == "_weak_by_blocks"
+
+
+_block_plan = verifier._block_plan
+
+
+def test_cost_rule_keeps_small_and_scattered_sets_off_the_block_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("block path taken")
+
+    monkeypatch.setattr(verifier, "_weak_by_blocks", refuse)
+    monkeypatch.setattr(verifier, "_block_plan", refuse)  # not even costed
+    for seed in find_seeds(4, 40, limit=200):
+        verify(seed)
+    rng = random.Random(1)
+    colours = [[] for _ in range(12)]
+    for x in range(1, 8001):
+        colours[rng.randrange(12)].append(x)
+    verify(Partition.from_subsets(colours, 8000))
+    # the 2-adic partition is wide enough to be costed, and stays off
+    monkeypatch.setattr(verifier, "_block_plan", _block_plan)
+    two_adic = Partition.from_subsets([range(1 << k, 50001, 2 << k) for k in range(16)], 50000)
+    assert len(verify(two_adic).violations) == 12499
+
+
+def _weak_by_blocks_only(S, *, first_only=False, subset_index=None):
+    return block_path(S, 512, first_only, subset_index) if S else []
+
+
+def test_ten_subset_chain_same_report_with_the_block_path_disabled(monkeypatch):
+    p = iterate(base_partition(), 7)[-1][0]
+    assert p.n == 44834
+    subsets = list(p.subsets)
+    subsets[0] = IntSet.from_mask(subsets[0].mask & ~2)
+    subsets[-1] = subsets[-1].with_element(1)
+    broken = Partition(tuple(subsets), p.n)
+
+    def reports():
+        return [verify(q, which, first_only=f) for q in (p, broken)
+                for which in (ConditionSet.all(), ConditionSet.condition1())
+                for f in (False, True)]
+
+    expected = reports()
+    assert expected[0].passed and not expected[4].passed
+    block_calls = []
+    by_blocks = verifier._weak_by_blocks
+    monkeypatch.setattr(verifier, "_weak_by_blocks",
+                        lambda *args: block_calls.append(1) or by_blocks(*args))
+    monkeypatch.setattr(verifier, "BLOCK_MIN_BLOCKS", 10**9)
+    assert reports() == expected
+    assert not block_calls
+    # and every subset, condition 3's included, through the block path alone
+    monkeypatch.setattr(verifier, "weak_violations", _weak_by_blocks_only)
+    assert reports() == expected
+    assert block_calls
