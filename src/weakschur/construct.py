@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intset import IntSet, bit_positions
+from .intset import IntSet, bit_positions, reflect
 from .partition import (
     VIOLATION_KINDS,
     ConstructionTrace,
@@ -142,7 +142,7 @@ def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
     _require_seed(p)
     m = p.n
     r = 3 * m + 4
-    reflected = [_reflect(sub.mask & -32, r) for sub in p.subsets]  # a > 4 only
+    reflected = [reflect(sub.mask & -32, r) for sub in p.subsets]  # a > 4 only
     injected = 1 << (m + 2) | 1 << (2 * m + 2)
     masks = [sub.mask | refl for sub, refl in zip(p.subsets, reflected)]
     masks[0] |= injected
@@ -159,13 +159,6 @@ def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
         new_subset=subsets[-1],
     )
     return out, trace
-
-
-def _reflect(mask: int, r: int) -> int:
-    """The mask of {r - a : a in mask}, for a mask with no bit above r.
-    Reversing its binary digits sends bit a to max - a; the shift adds
-    r - max.  Binary conversions have no int/str digit limit in CPython."""
-    return int(format(mask, "b")[::-1], 2) << (r + 1 - mask.bit_length())
 
 
 def iterate(

@@ -17,6 +17,8 @@ from typing import Iterable, Iterator
 _BYTE_BITS = tuple(
     tuple(b for b in range(8) if value >> b & 1) for value in range(256)
 )
+# each byte value with its 8 bits in reverse order, for ``reflect``
+_REVERSED_BYTES = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -37,10 +39,9 @@ def bit_positions(mask: int) -> list[int]:
     sparse decoder about what one byte costs the bytewise pass, and more
     as the mask widens, while the bytewise pass has a start-up cost worth
     a few dozen bits.  Witness masks are sparse: a verifier pair mask
-    lists the partners b of one operand a, a handful at most and on the
-    2-adic condition-3 input exactly one, yet it is as wide as the whole
-    subset; so is the mask of run edges that ``run_bounds`` decodes for
-    a construction output.
+    lists the partners b of one operand a, a handful at most, yet it is
+    as wide as the whole subset; so is the mask of run edges that
+    ``run_bounds`` decodes for a construction output.
     Whole sets (``IntSet.elements`` and iteration) take the bytewise path
     unless they fit in a few bytes.
     """
@@ -75,6 +76,20 @@ def run_bounds(mask: int) -> tuple[list[int], list[int]]:
     """
     edges = bit_positions(mask ^ (mask << 1))
     return edges[::2], edges[1::2]
+
+
+def reflect(mask: int, r: int) -> int:
+    """The mask of {r - a : a in mask}, for a mask with no bit above r.
+
+    Reversing the bits of each byte and reading the bytes in the other
+    order reverses the whole nb-byte mask, sending bit a to 8*nb - 1 - a;
+    a shift by r + 1 - 8*nb then lands it on r - a.  When the shift goes
+    right, the bits it drops stood for a > r, and there are none.
+    """
+    nb = (mask.bit_length() + 7) >> 3
+    out = int.from_bytes(mask.to_bytes(nb, "little").translate(_REVERSED_BYTES), "big")
+    shift = r + 1 - 8 * nb
+    return out << shift if shift >= 0 else out >> -shift
 
 
 class IntSet:

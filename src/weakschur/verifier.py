@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intset import IntSet, bit_positions, run_bounds
+from .intset import IntSet, bit_positions, reflect, run_bounds
 from .partition import (
     Partition,
     Violation,
@@ -141,11 +141,13 @@ def weak_violations(
 def _weak_by_elements(
     m: int, operands: Iterable[int], first_only: bool, index: "int | None" = None
 ) -> list[Violation]:
-    """Exact per-element probe of each ascending operand a against mask m."""
+    """Exact per-element probe of each ascending operand a against mask m.
+    ``(m >> a) & m`` alone is zero for most operands of a clean set, so the
+    partners b <= a are masked off only when it is not."""
     out: list[Violation] = []
     for a in operands:
-        pair = (m >> a) & m & (-1 << (a + 1))
-        if pair:
+        pair = (m >> a) & m
+        if pair and (pair := pair & (-1 << (a + 1))):
             if first_only:
                 b = (pair & -pair).bit_length() - 1
                 return [Violation("weak-sum", index, (a, b, a + b))]
@@ -284,12 +286,31 @@ def condition2_violations(p: Partition) -> list[Violation]:
 
 def condition3_violations(p: Partition) -> list[Violation]:
     """Subset 1 must stay weakly sum-free when n+2 joins it, and must not
-    contain n itself.  Both halves are what lets a step be applied."""
-    s1 = p.subset(1)
-    out = [Violation("condition3-sumfree", 1, v.witness)
-           for v in weak_violations(s1.with_element(p.n + 2))]
-    if p.n in s1:
-        out.append(Violation("condition3-membership", 1, (p.n,)))
+    contain n itself.  Both halves are what lets a step be applied.
+
+    Derived rather than re-checked, for a well-formed p (every element at
+    most n): n+2 is larger than any element, so it is never an operand,
+    and the triples of S1 + {n+2} are subset 1's own weak-sum triples plus
+    the pairs a < b of S1 with a + b = n+2.  Listed by smaller operand,
+    subset 1's triples first for equal operands, as a weak check of
+    S1 + {n+2} lists them.
+    """
+    return _condition3(p, weak_violations(p.subset(1)))
+
+
+def _condition3(p: Partition, s1_weak: list[Violation]) -> list[Violation]:
+    """condition3_violations from s1_weak, the full weak_violations list
+    of subset 1.  The pairs summing to t = n+2 are the bits a of S1 that
+    S1's reflection about t also holds, a <= (t-1)/2 so that a < t - a: a
+    double a + a = t is never a weak-sum triple."""
+    n, t = p.n, p.n + 2
+    m = p.subset(1).mask
+    pairs = m & reflect(m, t) & ((2 << ((t - 1) >> 1)) - 1)
+    out = [Violation("condition3-sumfree", 1, v.witness) for v in s1_weak]
+    out += [Violation("condition3-sumfree", 1, (a, t - a, t)) for a in bit_positions(pairs)]
+    out.sort(key=lambda v: v.witness[0])  # stable: equal operands keep S1's triples first
+    if m >> n & 1:
+        out.append(Violation("condition3-membership", 1, (n,)))
     return out
 
 
@@ -309,17 +330,28 @@ def verify(
     seed the construction.  With first_only, checks stop after the first
     that finds anything (condition 1 counts per subset), and only the
     smallest violation found is kept.
+
+    Condition 3 is derived from subset 1's weak-sum list
+    (condition3_violations); when condition 1 runs too, the list it
+    computed for subset 1 is reused.  That is exact with first_only as
+    well: verify only reaches condition 3 if subset 1's list was empty.
     """
     which = which if which is not None else ConditionSet.all()
 
     def checks():  # one (label, violations) at a time, so verify can stop early
+        s1_weak = None
         if which.weak_sum_free:
             for i, sub in enumerate(p.subsets, 1):
-                yield LABEL_WEAK, weak_violations(sub, first_only=first_only, subset_index=i)
+                found = weak_violations(sub, first_only=first_only, subset_index=i)
+                if i == 1:
+                    s1_weak = found
+                yield LABEL_WEAK, found
         if which.no_double:
             yield LABEL_NO_DOUBLE, condition2_violations(p)
         if which.seed_extension:
-            yield LABEL_SEED_EXT, condition3_violations(p)
+            if s1_weak is None:
+                s1_weak = weak_violations(p.subset(1))
+            yield LABEL_SEED_EXT, _condition3(p, s1_weak)
 
     checked = {LABEL_WELL_FORMED}
     out = well_formed_violations(p)

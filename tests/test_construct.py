@@ -21,7 +21,8 @@ from weakschur import (
     validate_seed,
     verify,
 )
-from weakschur.construct import _reflect, _require_seed, _seed_rule_violations
+from weakschur.construct import _require_seed, _seed_rule_violations
+from weakschur.intset import reflect
 from weakschur.partition import ConstructionTrace, Violation, ViolationReport
 
 CHAIN_ORDERS = [62, 185, 554, 1661, 4982, 14945, 44834, 134501, 403502]
@@ -236,14 +237,18 @@ def test_step_matches_reference_from_searched_seeds():
         assert _decoded(construct_step(seed)) == _step_reference(seed)
 
 
-@given(st.sets(st.integers(1, 400)), st.integers(1, 50))
+@given(st.sets(st.integers(1, 400)), st.integers(0, 50))
 @example(set(), 1)
 @example({1, 2, 3, 4}, 1)
 @example({5, 9}, 1)  # a = r - 1 = 9 reflects to 1
+@example({5, 9}, 0)  # a = r = 9 reflects to 0
+@example({5, 16}, 0)  # 3 bytes hold 24 bits, past r + 1 = 17: the shift goes right
+@example({5, 15}, 0)  # 2 bytes hold exactly r + 1 = 16 bits: no shift
+@example({5, 400}, 50)  # 51 bytes, r + 1 = 451: the shift goes left
 def test_reflect_matches_set_definition(members, extra):
     r = max(members, default=0) + extra
     mask = IntSet(members).mask & -32  # the step reflects only a > 4
-    assert _reflect(mask, r) == IntSet({r - a for a in members if a > 4}).mask
+    assert reflect(mask, r) == sum(1 << (r - a) for a in members if a > 4)
 
 
 # --- iteration --------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weakschur import (
@@ -10,6 +10,7 @@ from weakschur import (
     IntSet,
     Partition,
     Violation,
+    ViolationReport,
     base_partition,
     condition2_violations,
     condition3_violations,
@@ -341,6 +342,17 @@ def test_run_path_first_only_equal(S):
     assert first_runs == weak_violations_naive(S)[:1]
 
 
+def old_condition3(p, weak=weak_violations_naive):
+    """Condition 3 as a weak check of S1 + {n+2}, by the naive scan unless
+    told otherwise."""
+    s1 = p.subset(1)
+    out = [replace(v, kind="condition3-sumfree", subset_index=1)
+           for v in weak(s1.with_element(p.n + 2))]
+    if p.n in s1:
+        out.append(Violation("condition3-membership", 1, (p.n,)))
+    return out
+
+
 @settings(deadline=None)  # the naive O(|S|^2) scan dominates
 @given(run_unions(), st.integers(min_value=0, max_value=3))
 def test_condition3_on_run_unions(S, extra):
@@ -348,11 +360,96 @@ def test_condition3_on_run_unions(S, extra):
     n = S.max + extra
     rest = IntSet(range(1, n + 1)).mask & ~S.mask
     p = Partition((S, IntSet.from_mask(rest)) if rest else (S,), n)
-    expected = [replace(v, kind="condition3-sumfree", subset_index=1)
-                for v in weak_violations_naive(S.with_element(n + 2))]
-    if n in S:
-        expected.append(Violation("condition3-membership", 1, (n,)))
+    assert condition3_violations(p) == old_condition3(p)
+
+
+@st.composite
+def condition3_cases(draw):
+    """A partition (S1, rest) of 1..n with scattered S1, odd or even n,
+    often holding (n+2)/2, n, or all of 1..n (subset 1 alone)."""
+    n = draw(st.integers(min_value=1, max_value=100))
+    s1 = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1))
+    if n % 2 == 0 and draw(st.booleans()):
+        s1.add((n + 2) // 2)  # a + a = n+2 must not be reported
+    if draw(st.booleans()):
+        s1.add(n)
+    if draw(st.integers(0, 9)) == 0:
+        s1 = set(range(1, n + 1))
+    S1 = IntSet(s1)
+    rest = ((1 << (n + 1)) - 2) & ~S1.mask
+    return Partition((S1, IntSet.from_mask(rest)) if rest else (S1,), n)
+
+
+CONDITION3_SELECTIONS = (
+    ConditionSet.all(),
+    ConditionSet.from_labels("1,3"),
+    ConditionSet.from_labels("3"),
+    ConditionSet.from_labels("2,3"),
+)
+
+
+@settings(deadline=None)  # the naive O(|S|^2) scan dominates
+@given(condition3_cases())
+@example(Partition.from_subsets([(2, 3), (1, 4)], 4))  # 3 + 3 = n+2 only
+@example(Partition.from_subsets([(1, 2, 3, 4, 5)], 5))  # subset 1 alone
+@example(Partition.from_subsets([(4, 5, 6), (1, 2, 3)], 6))  # (n+2)/2 and n
+@example(Partition.from_subsets([(3, 4, 7, 8), (1, 2, 5, 6, 9)], 9))  # 3 opens 3+4=7 and 3+8=11
+@example(Partition.from_subsets([(7, 8), (1, 2, 3, 4, 5, 6)], 8))  # no pairs, n held
+def test_derived_condition3_matches_the_old_formulation_and_verify(p):
+    expected = old_condition3(p)
     assert condition3_violations(p) == expected
+    ordered = sorted(expected, key=lambda v: v.sort_key)  # as a report lists them
+    weak_found = any(weak_violations_naive(sub) for sub in p.subsets)
+    for which in CONDITION3_SELECTIONS:
+        earlier = ((which.weak_sum_free and weak_found)
+                   or (which.no_double and condition2_violations(p)))
+        for first_only in (False, True):
+            report = verify(p, which, first_only=first_only)
+            part = [v for v in report.violations if v.kind.startswith("condition3")]
+            if first_only and earlier:  # verify stopped before condition 3
+                assert part == [] and "seed-extension" not in report.checked_conditions
+                continue
+            assert "seed-extension" in report.checked_conditions
+            assert part == ordered[:1 if first_only else None]
+
+
+def random_colouring(seed=1, s=12, n=8000):
+    rng = random.Random(seed)
+    colours = [[] for _ in range(s)]
+    for x in range(1, n + 1):
+        colours[rng.randrange(s)].append(x)
+    return Partition.from_subsets(colours, n)
+
+
+def test_verify_reuses_subset1_weak_list_with_the_same_reports(monkeypatch):
+    two_adic = Partition.from_subsets([range(1 << k, 50001, 2 << k) for k in range(16)], 50000)
+    chain = iterate(base_partition(), 9)[-1][0]
+    partitions = (two_adic, chain, random_colouring(n=3000))
+
+    def reports():
+        return [verify(p, first_only=f) for p in partitions for f in (False, True)]
+
+    reused = reports()
+    calls = []
+    weak = verifier.weak_violations
+    monkeypatch.setattr(verifier, "weak_violations",
+                        lambda S, **kw: calls.append(S) or weak(S, **kw))
+    for p in partitions:  # one weak check per subset, none again for condition 3
+        calls.clear()
+        verify(p)
+        assert calls == list(p.subsets)
+    # without the reuse: condition 3 asks for subset 1's list again
+    derived = verifier._condition3
+    monkeypatch.setattr(verifier, "_condition3",
+                        lambda p, _s1: derived(p, weak(p.subset(1))))
+    assert reports() == reused
+    assert len(reused[0].violations) == 12499 and reused[2].passed
+    # and the full reports match condition 3 as a weak check of S1 + {n+2}
+    for k, p in enumerate(partitions):
+        head = verify(p, ConditionSet.from_labels("1,2"))
+        assert reused[2 * k] == ViolationReport.build(
+            [*head.violations, *old_condition3(p, weak)],
+            head.checked_conditions | {"seed-extension"})
 
 
 def _weak_by_elements_only(S, *, first_only=False, subset_index=None):
@@ -487,11 +584,7 @@ def test_cost_rule_keeps_small_and_scattered_sets_off_the_block_path(monkeypatch
     monkeypatch.setattr(verifier, "_block_plan", refuse)  # not even costed
     for seed in find_seeds(4, 40, limit=200):
         verify(seed)
-    rng = random.Random(1)
-    colours = [[] for _ in range(12)]
-    for x in range(1, 8001):
-        colours[rng.randrange(12)].append(x)
-    verify(Partition.from_subsets(colours, 8000))
+    verify(random_colouring())
     # the 2-adic partition is wide enough to be costed, and stays off
     monkeypatch.setattr(verifier, "_block_plan", _block_plan)
     two_adic = Partition.from_subsets([range(1 << k, 50001, 2 << k) for k in range(16)], 50000)
