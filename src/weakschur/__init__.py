@@ -29,6 +29,7 @@ from .partition import (
     WspFormatError,
     parse_partition,
     serialize_partition,
+    serialize_partitions,
     well_formed_violations,
 )
 from .search import (
@@ -78,6 +79,7 @@ __all__ = [
     "iterate",
     "parse_partition",
     "serialize_partition",
+    "serialize_partitions",
     "strong_violations",
     "validate_seed",
     "verify",

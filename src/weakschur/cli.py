@@ -10,8 +10,8 @@ One binary, subcommand style, built for scripting pipelines:
     weakschur search seeds --s <k> --n <n> [--limit <c>] [--out-dir <dir>]
 
 Exit codes: 0 success or empty report, 1 violations found or infeasible,
-2 usage or parse error (or unwritable output, a closed stdout pipe
-included), 3 budget or cap exhausted, or an input past a size cap checked
+2 usage or parse error (a ``search seeds`` limit below 1 included) or
+unwritable output (a closed stdout pipe included), 3 budget or cap exhausted, or an input past a size cap checked
 before any work: a ``generate`` target past MAX_GENERATE_ORDER, a
 ``bound``/``table`` subset count past MAX_BOUND_S, or a ``search seeds``
 order or ``search ws`` subset count past MAX_SEARCH_ORDER.  ``--json``
@@ -43,6 +43,7 @@ from .partition import (
     WspFormatError,
     parse_partition,
     serialize_partition,
+    serialize_partitions,
 )
 from .search import DEFAULT_BUDGET, SearchBudgetExceeded, compute_ws, find_seeds
 from .verifier import ConditionSet, verify
@@ -365,17 +366,20 @@ def _cmd_search_ws(args) -> int:
 
 def _cmd_search_seeds(args) -> int:
     _check_cap(args, "--n", args.n, MAX_SEARCH_ORDER, "max_order")
+    if args.limit < 1:  # no search would run, so "found 0" would say nothing
+        _fail(args, EXIT_USAGE, f"--limit must be >= 1, got {args.limit}")
     try:
         seeds = find_seeds(args.s, args.n, args.limit, budget=args.budget)
     except ValueError as e:
         _fail(args, EXIT_USAGE, str(e))
     except SearchBudgetExceeded as e:
         _fail(args, EXIT_BUDGET, str(e), nodes_visited=e.nodes_visited)
+    texts = serialize_partitions(seeds)
     paths = []
     if args.out_dir:
         out_dir = Path(args.out_dir)
         paths = [str(out_dir / f"seed_{k:04d}.wsp") for k in range(1, len(seeds) + 1)]
-        _write_files(args, zip(paths, map(serialize_partition, seeds)), out_dir)
+        _write_files(args, zip(paths, texts), out_dir)
     if args.json:
         _print_json({
             "s": args.s,
@@ -383,7 +387,7 @@ def _cmd_search_seeds(args) -> int:
             "limit": args.limit,
             "found": len(seeds),
             "source": "search",
-            "seeds": paths if args.out_dir else [serialize_partition(p) for p in seeds],
+            "seeds": paths if args.out_dir else texts,
         })
     else:
         print(f"found {len(seeds)} seed(s) at s={args.s} n={args.n}")
@@ -391,9 +395,9 @@ def _cmd_search_seeds(args) -> int:
             for path in paths:
                 print(path)
         else:
-            for k, p in enumerate(seeds, 1):
+            for k, text in enumerate(texts, 1):
                 print(f"# seed {k}")
-                _write_stdout(serialize_partition(p))
+                _write_stdout(text)
     return EXIT_OK if seeds else EXIT_VIOLATIONS
 
 

@@ -22,7 +22,7 @@ from .partition import (
     Violation,
     ViolationReport,
 )
-from .verifier import LABEL_WEAK, ConditionSet, verify
+from .verifier import ALL_CONDITIONS, LABEL_WEAK, _memoized, _verify
 
 #: comparison orders from other published constructions, shown in tables as
 #: context only, never reproduced by this library
@@ -197,12 +197,19 @@ def validate_seed(p: Partition) -> ViolationReport:
     certifies the chain iterates indefinitely: every rule re-establishes
     itself under the step, so the induction closes.
     """
-    report = verify(p, ConditionSet.all())
+    return _validate_seed(p, {})
+
+
+def _validate_seed(p: Partition, memo: dict) -> ViolationReport:
+    """validate_seed's body, with the memo of _verify.  The seed rules go
+    through it too, keyed by (subset 1's mask, n), which is all they read."""
+    report = _verify(p, ALL_CONDITIONS, False, memo)
     violations = list(report.violations)
     checked = set(report.checked_conditions)
     if LABEL_WEAK in checked:  # the conditions ran, so p is well-formed
         checked.add("look-ahead")
-        found = _seed_rule_violations(p)
+        found = _memoized(memo, ("seed-rules", p.subsets[0].mask, p.n),
+                          lambda: _seed_rule_violations(p))
         violations += [v for v in found if not v.is_advisory]
         if not violations:
             # advisories describe the chain's future; moot unless a first

@@ -553,19 +553,40 @@ def serialize_partition(p: Partition) -> str:
     The input is validated first, so only well-formed partitions can ever
     reach a file; parse(serialize(p)) == p holds for all of them.
     """
-    p.validate()
-    parts = [f"wsp {WSP_FORMAT_VERSION}\n", f"s={p.s} n={p.n}\n"]
-    numbers = None
-    for i, sub in enumerate(p.subsets, 1):
-        m = sub.mask
-        if _by_runs(m):
-            if numbers is None:
-                numbers = _number_text(p.n)
-            body = _runs_text(m, numbers)
-        else:
-            body = " ".join(map(str, bit_positions(m)))
-        parts += (f"{i}: ", body, "\n")
-    return "".join(parts)
+    return serialize_partitions([p])[0]
+
+
+def serialize_partitions(ps: Iterable[Partition]) -> list[str]:
+    """serialize_partition of each partition of ps, in order.
+
+    Every partition is validated.  A subset line is built once per
+    (label, mask), however many partitions share it, as partitions found
+    by one search do: its text depends on nothing else, since a run is cut
+    from the same place in the number text of any order.  That number text
+    is built once per order.  A line is kept as its pieces, so a long one
+    is copied once, into the partition's text.
+    """
+    texts = []
+    lines: dict[tuple[int, int], tuple[str, str, str]] = {}
+    numbers: dict[int, str] = {}
+    for p in ps:
+        p.validate()
+        parts = [f"wsp {WSP_FORMAT_VERSION}\ns={p.s} n={p.n}\n"]
+        for i, sub in enumerate(p.subsets, 1):
+            key = (i, sub.mask)
+            line = lines.get(key)
+            if line is None:
+                m = sub.mask
+                if _by_runs(m):
+                    if p.n not in numbers:
+                        numbers[p.n] = _number_text(p.n)
+                    body = _runs_text(m, numbers[p.n])
+                else:
+                    body = " ".join(map(str, bit_positions(m)))
+                line = lines[key] = (f"{i}: ", body, "\n")
+            parts += line
+        texts.append("".join(parts))
+    return texts
 
 
 def _by_runs(mask: int) -> bool:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .construct import GAP, MIN_ORDER, _seed_rules, validate_seed
+from .construct import GAP, MIN_ORDER, _seed_rules, _validate_seed
 from .intset import IntSet
 from .partition import Partition
 from .verifier import ConditionSet
@@ -98,8 +98,9 @@ def _search(
     ``seed_filters`` additionally prunes colour 1 by the construction's
     seed-rule table: no value of a ``_seed_rules(n)`` row, and no pair at
     distance ``GAP`` whose larger member is above 4.  ``emit`` sees each
-    complete assignment (a list mapping value-1 to colour) and returns
-    True to stop the search.
+    complete assignment as its colour masks (a list of s masks, colour c's
+    at index c - 1, bit v set when value v has colour c; a colour left
+    unused is 0) and returns True to stop the search.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -157,7 +158,7 @@ def _search(
             if v == n:
                 if not (
                     special_first and (child_hi < s or not members[1])
-                ) and emit(colour_of[1:]):
+                ) and emit(members[1:]):
                     return True, nodes
             elif not (
                 special_first and n - v < (s - child_hi) + (not members[1])
@@ -185,15 +186,17 @@ def _search(
         c = 1
 
 
-def _partition_from(assignment: list[int], s: int, n: int) -> Partition:
-    """Turn a colour assignment into a Partition with exactly s non-empty
-    subsets, peeling single elements off large subsets when the search used
-    fewer colours.  Removal never breaks weak sum-freeness, so padding is
-    always sound; the donor is the subset holding the largest movable
-    element, which keeps the result deterministic."""
-    masks = [0] * s
-    for v, c in enumerate(assignment, 1):
-        masks[c - 1] |= 1 << v
+def _partition_from(
+    colour_masks: list[int], s: int, n: int, sets: Optional[dict[int, IntSet]] = None
+) -> Partition:
+    """Turn the colour masks of a leaf into a Partition with exactly s
+    non-empty subsets, peeling single elements off large subsets when the
+    search used fewer colours.  Removal never breaks weak sum-freeness, so
+    padding is always sound; the donor is the subset holding the largest
+    movable element, which keeps the result deterministic.  A mask that
+    sets (mask -> IntSet) already holds reuses its IntSet; a new one is
+    added to it."""
+    masks = list(colour_masks)
     for i in range(s):
         if not masks[i]:
             # disjoint masks compare like their largest elements
@@ -201,7 +204,15 @@ def _partition_from(assignment: list[int], s: int, n: int) -> Partition:
             top = 1 << (donor.bit_length() - 1)
             masks[masks.index(donor)] ^= top
             masks[i] = top
-    return Partition(tuple(IntSet.from_mask(m) for m in masks), n)
+    if sets is None:
+        sets = {}
+    subsets = []
+    for m in masks:
+        sub = sets.get(m)
+        if sub is None:
+            sub = sets[m] = IntSet.from_mask(m)
+        subsets.append(sub)
+    return Partition(tuple(subsets), n)
 
 
 def decide(
@@ -236,8 +247,8 @@ def _decide(
     constraints = constraints if constraints is not None else ConditionSet.condition1()
     found: list[list[int]] = []
 
-    def emit(assignment: list[int]) -> bool:
-        found.append(list(assignment))
+    def emit(masks: list[int]) -> bool:
+        found.append(masks)
         return True
 
     _, nodes = _search(
@@ -311,10 +322,14 @@ def find_seeds(
     if limit <= 0 or n < s or n <= MIN_ORDER:
         return []
     seeds: list[Partition] = []
+    # one walk's leaves share most subsets: each distinct mask is one
+    # IntSet, and each per-subset check runs once (see _validate_seed)
+    sets: dict[int, IntSet] = {}
+    memo: dict = {}
 
-    def emit(assignment: list[int]) -> bool:
-        p = _partition_from(assignment, s, n)
-        if not validate_seed(p).violations:
+    def emit(masks: list[int]) -> bool:
+        p = _partition_from(masks, s, n, sets)
+        if not _validate_seed(p, memo).violations:
             seeds.append(p)
         return len(seeds) >= limit
 

@@ -9,7 +9,7 @@ can convict the other of a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .intset import IntSet, bit_positions, reflect, run_bounds
 from .partition import (
@@ -44,7 +44,7 @@ class ConditionSet:
 
     @classmethod
     def all(cls) -> "ConditionSet":
-        return cls()
+        return ALL_CONDITIONS
 
     @classmethod
     def condition1(cls) -> "ConditionSet":
@@ -68,6 +68,9 @@ class ConditionSet:
             seed_extension=LABEL_SEED_EXT in chosen,
         )
 
+
+#: every condition: verify's default, built once
+ALL_CONDITIONS = ConditionSet()
 
 #: the block path of weak_violations cuts masks into blocks of this many
 #: bits (a multiple of 8); a set narrower than BLOCK_MIN_BLOCKS blocks
@@ -273,15 +276,16 @@ def condition2_violations(p: Partition) -> list[Violation]:
     Doubling with a <= 4 is exempt: those sums are the only a+a=c shapes a
     step can run into below the reflection zone, and they are harmless.
     """
-    out = []
-    for i, sub in enumerate(p.subsets, 1):
-        m = sub.mask
-        # keep the even binary digits: bit a of halves is bit 2a of m
-        bits = format(m, "b")
-        halves = int(bits[(len(bits) - 1) % 2::2], 2)
-        for a in bit_positions(halves & m & -32):  # a > 4 with 2a in sub
-            out.append(Violation("double-element", i, (a, 2 * a)))
-    return out
+    return [v for i, sub in enumerate(p.subsets, 1) for v in _doubles(i, sub.mask)]
+
+
+def _doubles(i: int, m: int) -> list[Violation]:
+    """condition2_violations of subset i, whose mask is m."""
+    # keep the even binary digits: bit a of halves is bit 2a of m
+    bits = format(m, "b")
+    halves = int(bits[(len(bits) - 1) % 2::2], 2)
+    # a > 4 with 2a in the subset
+    return [Violation("double-element", i, (a, 2 * a)) for a in bit_positions(halves & m & -32)]
 
 
 def condition3_violations(p: Partition) -> list[Violation]:
@@ -336,22 +340,42 @@ def verify(
     computed for subset 1 is reused.  That is exact with first_only as
     well: verify only reaches condition 3 if subset 1's list was empty.
     """
-    which = which if which is not None else ConditionSet.all()
+    return _verify(p, which if which is not None else ALL_CONDITIONS, first_only, {})
+
+
+def _verify(p: Partition, which: ConditionSet, first_only: bool, memo: dict) -> ViolationReport:
+    """verify's body.  Each per-subset check goes through memo, keyed by
+    what fully determines its result (see _memoized), so callers that
+    verify many partitions sharing subsets pass one memo to all of them:
+    the weak-sum list of subset i by (i, mask, first_only), its doubles by
+    (i, mask), and condition 3 by (subset 1's mask, n).  Well-formedness
+    runs on every call, and the checks only ever see a well-formed p."""
+
+    def weak(i: int, sub: IntSet, first: bool) -> tuple[Violation, ...]:
+        return _memoized(memo, ("weak", i, sub.mask, first),
+                         lambda: weak_violations(sub, first_only=first, subset_index=i))
 
     def checks():  # one (label, violations) at a time, so verify can stop early
         s1_weak = None
         if which.weak_sum_free:
             for i, sub in enumerate(p.subsets, 1):
-                found = weak_violations(sub, first_only=first_only, subset_index=i)
+                found = weak(i, sub, first_only)
                 if i == 1:
                     s1_weak = found
                 yield LABEL_WEAK, found
         if which.no_double:
-            yield LABEL_NO_DOUBLE, condition2_violations(p)
+            found = []
+            for i, sub in enumerate(p.subsets, 1):
+                found += _memoized(memo, ("doubles", i, sub.mask),
+                                   lambda: _doubles(i, sub.mask))
+            yield LABEL_NO_DOUBLE, found
         if which.seed_extension:
-            if s1_weak is None:
-                s1_weak = weak_violations(p.subset(1))
-            yield LABEL_SEED_EXT, _condition3(p, s1_weak)
+            # a first_only list reaches here only when it is empty, so it
+            # is the full list too
+            s1 = p.subsets[0]
+            key = ("condition3", s1.mask, p.n)
+            yield LABEL_SEED_EXT, _memoized(memo, key, lambda: _condition3(
+                p, weak(1, s1, False) if s1_weak is None else s1_weak))
 
     checked = {LABEL_WELL_FORMED}
     out = well_formed_violations(p)
@@ -364,3 +388,15 @@ def verify(
     if first_only:
         out = sorted(out, key=lambda v: v.sort_key)[:1]
     return ViolationReport.build(out, checked)
+
+
+def _memoized(memo: dict, key: tuple, compute: Callable[[], Iterable[Violation]]
+              ) -> tuple[Violation, ...]:
+    """compute()'s violations, computed once per key of memo and kept as a
+    tuple, so no caller can change what another reads.  The first item of
+    key names the check, so keys of different checks never meet; the rest
+    must determine compute()'s result."""
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = tuple(compute())
+    return found

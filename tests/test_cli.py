@@ -375,6 +375,31 @@ def test_search_seeds_none_found(capsys):
     assert json.loads(out)["found"] == 0
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_search_seeds_nonpositive_limit_is_a_usage_error(tmp_path, capsys, limit):
+    # no search runs, so "found 0" and exit 1 would claim what was never looked at
+    out_dir = tmp_path / "seeds"
+    code, out, err = run(capsys, "search", "seeds", "--s", "3", "--n", "21",
+                         "--limit", limit, "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: --limit must be >= 1, got {limit}\n"
+    assert not out_dir.exists()
+
+
+def test_search_seeds_same_texts_on_every_output_path(tmp_path, capsys):
+    argv = ("search", "seeds", "--s", "4", "--n", "30", "--limit", "40", "--quiet")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    texts = json.loads(out)["seeds"]
+    assert len(texts) == 40 and len(set(texts)) == 40
+    code, out, _ = run(capsys, *argv)
+    head, *pieces = out.split("# seed ")
+    assert head == "found 40 seed(s) at s=4 n=30\n"
+    assert pieces == [f"{k}\n{text}" for k, text in enumerate(texts, 1)]
+    code, out, _ = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert [p.read_text(encoding="ascii") for p in sorted(tmp_path.glob("*.wsp"))] == texts
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -508,6 +533,8 @@ JSON_FAILURES = [
     (("search", "seeds", "--s", "0", "--n", "21"), 2, {"error": "s and n must be >= 1"}),
     (("search", "seeds", "--s", "3", "--n", "1000001"), 3,
      {"error": "--n 1000001 exceeds the cap 1000000", "max_order": 1000000}),
+    (("search", "seeds", "--s", "3", "--n", "21", "--limit", "0"), 2,
+     {"error": "--limit must be >= 1, got 0"}),
     (("search", "seeds", "--s", "3", "--n", "21", "--budget", "10"), 3,
      {"error": "search budget exhausted after 10 nodes", "nodes_visited": 10}),
     (("search", "seeds", "--s", "3", "--n", "21", "--out-dir", "{tmp}/taken"), 2,

@@ -18,6 +18,7 @@ from weakschur import (
     iterate,
     parse_partition,
     serialize_partition,
+    serialize_partitions,
     well_formed_violations,
 )
 from weakschur import partition
@@ -278,6 +279,57 @@ def test_round_trip_identity_property(p):
 @given(random_partitions())
 def test_random_valid_partitions_have_no_structural_violations(p):
     assert well_formed_violations(p) == []
+
+
+# --- one writer for many partitions -------------------------------------
+
+
+def plain_text(p):
+    """The canonical text, one str() per element: the writer's reference."""
+    lines = [f"{i}: {' '.join(map(str, sub))}\n" for i, sub in enumerate(p.subsets, 1)]
+    return f"wsp 1\ns={p.s} n={p.n}\n" + "".join(lines)
+
+
+@st.composite
+def run_partitions(draw):
+    """1..n cut into runs dealt to s subsets, n across 99|100 or 999|1000,
+    so most subsets take the run path of the writer."""
+    n = draw(st.integers(min_value=90, max_value=2500))
+    s = draw(st.integers(min_value=1, max_value=4))
+    masks = [0] * s
+    lo = 1
+    while lo <= n:
+        stop = min(n + 1, lo + draw(st.integers(min_value=1, max_value=80)))
+        masks[draw(st.integers(0, s - 1))] |= (1 << stop) - (1 << lo)
+        lo = stop
+    return Partition(tuple(IntSet.from_mask(m) for m in masks if m), n)
+
+
+def grown(p):
+    """p's subsets under order n+1, the new value alone in a last subset:
+    every line of p again, with another number text."""
+    return Partition((*p.subsets, IntSet([p.n + 1])), p.n + 1)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(random_partitions(), run_partitions(),
+                          st.sampled_from([q for q, _ in iterate(base_partition(), 3)])),
+                min_size=1, max_size=5),
+       st.data())
+def test_serialize_partitions_equals_one_at_a_time(ps, data):
+    ps += [grown(p) for p in ps if data.draw(st.booleans())]
+    # the same lines under other labels
+    ps += [Partition(p.subsets[::-1], p.n) for p in ps if p.s > 1 and data.draw(st.booleans())]
+    ps += data.draw(st.lists(st.sampled_from(ps), max_size=4))  # repeats
+    texts = serialize_partitions(ps)
+    assert texts == [serialize_partition(p) for p in ps] == [plain_text(p) for p in ps]
+
+
+def test_serialize_partitions_refuses_any_malformed_partition(base):
+    bad = Partition((IntSet([1, 3]),), 3)
+    with pytest.raises(InvalidPartitionError):
+        serialize_partitions([base, bad])
+    assert serialize_partitions([]) == []
 
 
 # --- parser fuzzing: any text is a Partition or a WspFormatError ----------

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 from typing import Callable, Optional
 
@@ -15,6 +16,7 @@ from weakschur import (
     construct_step,
     decide,
     find_seeds,
+    serialize_partition,
     validate_seed,
     verify,
     weak_violations_naive,
@@ -231,14 +233,35 @@ def test_find_seeds_every_seed_survives_one_step():
             assert verify(q, ConditionSet.all()).passed
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_find_seeds_nonpositive_limit_is_empty(limit):
+    assert find_seeds(3, 21, limit) == []
+
+
+def test_find_seeds_bytes_are_pinned():
+    # which seeds are found, in which order, and their text: a change to
+    # the walk, the checks or the writer that alters any of them shows here
+    seeds = find_seeds(4, 40, 2000)
+    text = "".join(serialize_partition(p) for p in seeds)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a6d74eb14405e9038d5235c8a61667a40c62d3e9169d348c5f28afff2df26a57")
+
+
+def test_find_seeds_shares_one_intset_per_distinct_subset():
+    seeds = find_seeds(4, 40, 2000)
+    subsets = [sub for p in seeds for sub in p.subsets]
+    distinct = {sub.mask for sub in subsets}
+    assert len({id(sub) for sub in subsets}) == len(distinct) < len(subsets) // 10
+
+
 def test_find_seeds_matches_the_unpruned_walk_filtered_by_validate_seed():
     # the seed prune may drop only what validate_seed rejects; both read
     # one table, so this is what shows a prune that loses a clean seed
     for s, n in product(range(1, 4), range(1, 24)):
         clean = []
 
-        def emit(assignment):
-            p = _partition_from(assignment, s, n)
+        def emit(masks):
+            p = _partition_from(masks, s, n)
             if not validate_seed(p).violations:
                 clean.append(p)
             return False
@@ -261,12 +284,12 @@ def _search_reference(
     budget: Optional[int] = None,
     emit: Callable[[list[int]], bool],
 ) -> tuple[bool, int]:
-    """The recursive backtracker that ``_search`` replaced, kept unchanged
-    as the reference: one Python call per value placed, so its depth is
-    bounded by the recursion limit."""
+    """The recursive backtracker that ``_search`` replaced, kept as the
+    reference: one Python call per value placed, so its depth is bounded
+    by the recursion limit.  Like ``_search`` it emits its own colour
+    masks, ``members[1:]``."""
     members = [0] * (s + 1)
     sums = [0] * (s + 1)
-    colour_of = [0] * (n + 1)
     nodes = 0
     target = n + 2  # forbidden pair-sum inside the designated first subset
     banned_first = frozenset()
@@ -281,7 +304,7 @@ def _search_reference(
         if v > n:
             if require_all and (hi < s or (special_first and not members[1])):
                 return False
-            return emit(colour_of[1:])
+            return emit(members[1:])
         if require_all:
             empties = (s - hi) + (1 if special_first and not members[1] else 0)
             if n - v + 1 < empties:
@@ -311,7 +334,6 @@ def _search_reference(
             saved_members, saved_sums = members[c], sums[c]
             sums[c] = saved_sums | (saved_members << v)
             members[c] = saved_members | (1 << v)
-            colour_of[v] = c
             if place(v + 1, hi if c <= hi else c):
                 return True
             members[c], sums[c] = saved_members, saved_sums
@@ -322,12 +344,12 @@ def _search_reference(
 
 
 def _walk(search, stop_after, **kwargs):
-    """Run one search, recording every emitted assignment in order and
-    stopping after ``stop_after`` emits (never when None)."""
+    """Run one search, recording the colour masks of every leaf it emits
+    in order and stopping after ``stop_after`` emits (never when None)."""
     emitted: list[list[int]] = []
 
-    def emit(assignment: list[int]) -> bool:
-        emitted.append(list(assignment))
+    def emit(masks: list[int]) -> bool:
+        emitted.append(list(masks))
         return stop_after is not None and len(emitted) >= stop_after
 
     try:
@@ -443,11 +465,21 @@ def padded_assignments(draw):
     return draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)), s, n
 
 
+def colour_masks(assignment, s):
+    """The colour masks _search emits for a leaf with this assignment."""
+    masks = [0] * s
+    for v, c in enumerate(assignment, 1):
+        masks[c - 1] |= 1 << v
+    return masks
+
+
 @given(padded_assignments())
 def test_partition_from_matches_reference_when_padding(case):
     assignment, s, n = case
-    p = _partition_from(assignment, s, n)
+    masks = colour_masks(assignment, s)
+    p = _partition_from(masks, s, n)
     assert p == _partition_from_reference(assignment, s, n)
+    assert masks == colour_masks(assignment, s)  # the caller's list is left as it was
     p.validate()
     assert all(p.subsets)
 
