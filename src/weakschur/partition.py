@@ -121,13 +121,7 @@ class Violation:
 
     @property
     def sort_key(self) -> tuple:
-        w = self.witness
-        return (
-            self.subset_index if self.subset_index is not None else 0,
-            w[-1] if w else 0,
-            w[0] if w else 0,
-            self.kind,
-        )
+        return violation_key(self)
 
     @property
     def is_advisory(self) -> bool:
@@ -149,6 +143,20 @@ class Violation:
         return self.describe()
 
 
+def violation_key(v: Violation) -> tuple:
+    """The order every report lists violations in: by subset (unlabelled
+    first), then sum (the witness's last integer), then smaller operand
+    (its first), then kind.  A plain function, so sorts pass it as their
+    key without a lambda; Violation.sort_key is the same tuple."""
+    w = v.witness
+    return (
+        v.subset_index if v.subset_index is not None else 0,
+        w[-1] if w else 0,
+        w[0] if w else 0,
+        v.kind,
+    )
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Outcome of a verification run: an exhaustive, sorted violation list
@@ -161,7 +169,7 @@ class ViolationReport:
     def build(
         cls, violations: Iterable[Violation], checked: Iterable[str]
     ) -> "ViolationReport":
-        ordered = tuple(sorted(violations, key=lambda v: v.sort_key))
+        ordered = tuple(sorted(violations, key=violation_key))
         return cls(ordered, frozenset(checked))
 
     @property
@@ -243,12 +251,27 @@ class Partition:
 
 def well_formed_violations(p: Partition) -> list[Violation]:
     """Structural checks: positive order, non-empty pairwise-disjoint
-    subsets, union exactly {1..n}.  Returns violations, sorted."""
+    subsets, union exactly {1..n}.  Returns violations, sorted.
+
+    The clean case is decided on the masks alone: non-empty masks whose
+    union is exactly bits 1..n and whose sizes add up to n are pairwise
+    disjoint, so p is well formed.  Only a partition that fails this goes
+    through the loop that names each violation."""
     out: list[Violation] = []
     if p.n < 1 or p.s < 1:
         out.append(Violation("not-a-partition", None))
         return out
     full = (1 << (p.n + 1)) - 2  # bits 1..n
+    union = size = 0
+    for sub in p.subsets:
+        m = sub.mask
+        if not m:
+            break
+        union |= m
+        size += m.bit_count()
+    else:
+        if union == full and size == p.n:
+            return out
     seen = 0
     for i, sub in enumerate(p.subsets, 1):
         m = sub.mask
@@ -261,7 +284,7 @@ def well_formed_violations(p: Partition) -> list[Violation]:
         seen |= m
     for e in bit_positions(full & ~seen):
         out.append(Violation("not-a-partition", None, (e,)))
-    out.sort(key=lambda v: v.sort_key)
+    out.sort(key=violation_key)
     return out
 
 

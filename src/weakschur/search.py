@@ -323,13 +323,14 @@ def find_seeds(
         return []
     seeds: list[Partition] = []
     # one walk's leaves share most subsets: each distinct mask is one
-    # IntSet, and each per-subset check runs once (see _validate_seed)
+    # IntSet, and each per-subset check runs once (see _validate_seed);
+    # a leaf reads its violation list and builds no report
     sets: dict[int, IntSet] = {}
     memo: dict = {}
 
     def emit(masks: list[int]) -> bool:
         p = _partition_from(masks, s, n, sets)
-        if not _validate_seed(p, memo).violations:
+        if not _validate_seed(p, memo)[0]:
             seeds.append(p)
         return len(seeds) >= limit
 

@@ -9,13 +9,14 @@ can convict the other of a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .intset import IntSet, bit_positions, reflect, run_bounds
 from .partition import (
     Partition,
     Violation,
     ViolationReport,
+    violation_key,
     well_formed_violations,
 )
 
@@ -339,64 +340,72 @@ def verify(
     (condition3_violations); when condition 1 runs too, the list it
     computed for subset 1 is reused.  That is exact with first_only as
     well: verify only reaches condition 3 if subset 1's list was empty.
+    The checks run in _verify; this builds its one report.
     """
-    return _verify(p, which if which is not None else ALL_CONDITIONS, first_only, {})
+    return ViolationReport.build(
+        *_verify(p, which if which is not None else ALL_CONDITIONS, first_only, {}))
 
 
-def _verify(p: Partition, which: ConditionSet, first_only: bool, memo: dict) -> ViolationReport:
-    """verify's body.  Each per-subset check goes through memo, keyed by
-    what fully determines its result (see _memoized), so callers that
-    verify many partitions sharing subsets pass one memo to all of them:
-    the weak-sum list of subset i by (i, mask, first_only), its doubles by
-    (i, mask), and condition 3 by (subset 1's mask, n).  Well-formedness
+def _verify(
+    p: Partition, which: ConditionSet, first_only: bool, memo: dict
+) -> tuple[list[Violation], set[str]]:
+    """verify's checks, as (violations, labels of the checks that ran),
+    unsorted but for first_only, which keeps the smallest; verify sorts
+    them into its report.  The list is the caller's to extend.
+
+    Each per-subset check goes through memo, under a key that fully
+    determines its result, so callers that check many partitions sharing
+    subsets pass one memo to all of them: the weak-sum list of subset i by
+    ("weak", i, mask, first_only), its doubles by ("doubles", i, mask),
+    and condition 3 by ("condition3", subset 1's mask, n).  The first item
+    names the check, so keys of different checks never meet.  Values are
+    tuples, so no caller can change what another reads.  Well-formedness
     runs on every call, and the checks only ever see a well-formed p."""
-
-    def weak(i: int, sub: IntSet, first: bool) -> tuple[Violation, ...]:
-        return _memoized(memo, ("weak", i, sub.mask, first),
-                         lambda: weak_violations(sub, first_only=first, subset_index=i))
-
-    def checks():  # one (label, violations) at a time, so verify can stop early
-        s1_weak = None
-        if which.weak_sum_free:
-            for i, sub in enumerate(p.subsets, 1):
-                found = weak(i, sub, first_only)
-                if i == 1:
-                    s1_weak = found
-                yield LABEL_WEAK, found
-        if which.no_double:
-            found = []
-            for i, sub in enumerate(p.subsets, 1):
-                found += _memoized(memo, ("doubles", i, sub.mask),
-                                   lambda: _doubles(i, sub.mask))
-            yield LABEL_NO_DOUBLE, found
-        if which.seed_extension:
-            # a first_only list reaches here only when it is empty, so it
-            # is the full list too
-            s1 = p.subsets[0]
-            key = ("condition3", s1.mask, p.n)
-            yield LABEL_SEED_EXT, _memoized(memo, key, lambda: _condition3(
-                p, weak(1, s1, False) if s1_weak is None else s1_weak))
-
     checked = {LABEL_WELL_FORMED}
     out = well_formed_violations(p)
-    if not out:
-        for label, found in checks():
-            checked.add(label)
+    if out:
+        return out[:1] if first_only else out, checked  # already sorted
+    masks = [sub.mask for sub in p.subsets]
+    s1_weak = None
+    if which.weak_sum_free:
+        checked.add(LABEL_WEAK)
+        for i, m in enumerate(masks, 1):
+            key = ("weak", i, m, first_only)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = tuple(weak_violations(
+                    p.subsets[i - 1], first_only=first_only, subset_index=i))
+            if i == 1:
+                s1_weak = found
             out += found
-            if first_only and out:
-                break
-    if first_only:
-        out = sorted(out, key=lambda v: v.sort_key)[:1]
-    return ViolationReport.build(out, checked)
-
-
-def _memoized(memo: dict, key: tuple, compute: Callable[[], Iterable[Violation]]
-              ) -> tuple[Violation, ...]:
-    """compute()'s violations, computed once per key of memo and kept as a
-    tuple, so no caller can change what another reads.  The first item of
-    key names the check, so keys of different checks never meet; the rest
-    must determine compute()'s result."""
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = tuple(compute())
-    return found
+            if first_only and out:  # this subset's, the first to find any
+                return [min(out, key=violation_key)], checked
+    if which.no_double:
+        checked.add(LABEL_NO_DOUBLE)
+        for i, m in enumerate(masks, 1):
+            key = ("doubles", i, m)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = tuple(_doubles(i, m))
+            out += found
+        if first_only and out:
+            return [min(out, key=violation_key)], checked
+    if which.seed_extension:
+        checked.add(LABEL_SEED_EXT)
+        m = masks[0]
+        key = ("condition3", m, p.n)
+        found = memo.get(key)
+        if found is None:
+            # a first_only list reaches here only when it is empty, so it
+            # is the full list too
+            if s1_weak is None:
+                weak_key = ("weak", 1, m, False)
+                s1_weak = memo.get(weak_key)
+                if s1_weak is None:
+                    s1_weak = memo[weak_key] = tuple(
+                        weak_violations(p.subsets[0], subset_index=1))
+            found = memo[key] = tuple(_condition3(p, s1_weak))
+        out += found
+    if first_only and out:
+        return [min(out, key=violation_key)], checked
+    return out, checked

@@ -529,15 +529,17 @@ def partitions_sharing_subsets(draw):
 @settings(deadline=None)
 @given(partitions_sharing_subsets())
 @example(list(MEMO_EXAMPLES))
+# one subset with a double (5, 10) under label 2, then under label 1
+@example([MEMO_EXAMPLES[3], Partition(tuple(MEMO_EXAMPLES[3].subsets[k] for k in (1, 0, 2)), 10)])
 def test_shared_memo_gives_the_fresh_reports(ps):
     # the memo is keyed by what fully determines each cached result, so
     # one memo across many partitions and selections changes no report
     memo: dict = {}
     for p in ps:
-        assert _validate_seed(p, memo) == validate_seed(p)
+        assert ViolationReport.build(*_validate_seed(p, memo)) == validate_seed(p)
         for which in MEMO_SELECTIONS:
             for first_only in (False, True):
-                assert _verify(p, which, first_only, memo) == verify(
+                assert ViolationReport.build(*_verify(p, which, first_only, memo)) == verify(
                     p, which, first_only=first_only)
     for found in memo.values():
         assert isinstance(found, tuple)

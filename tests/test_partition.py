@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakschur import (
@@ -242,6 +242,83 @@ def test_well_formed_violations_cases():
     assert any(v.witness == (9,) for v in well_formed_violations(stray))
 
     assert well_formed_violations(base_partition()) == []
+
+
+def well_formed_by_loop(p):
+    """well_formed_violations as it stood before its mask test for the
+    clean case: every partition through the loop that names violations."""
+    out = []
+    if p.n < 1 or p.s < 1:
+        out.append(Violation("not-a-partition", None))
+        return out
+    full = (1 << (p.n + 1)) - 2  # bits 1..n
+    seen = 0
+    for i, sub in enumerate(p.subsets, 1):
+        m = sub.mask
+        if not m:
+            out.append(Violation("empty-subset", i))
+        for e in bit_positions(m & ~full):
+            out.append(Violation("not-a-partition", i, (e,)))
+        for e in bit_positions(m & seen):
+            out.append(Violation("not-a-partition", i, (e,)))
+        seen |= m
+    for e in bit_positions(full & ~seen):
+        out.append(Violation("not-a-partition", None, (e,)))
+    out.sort(key=lambda v: v.sort_key)
+    return out
+
+
+#: edits that break a clean colouring in each way the mask test must catch
+WELL_FORMED_EDITS = ("copy", "past", "empty", "drop", "swap")
+
+
+@st.composite
+def mask_partitions(draw):
+    """Subset masks for orders -2..14 and 0..4 subsets: a colouring of
+    1..n, clean unless a subset came out empty, then up to three edits.
+    copy puts a value in a second subset (an overlap whose union is still
+    bits 1..n, so the sizes add up past n), past adds a value above n,
+    empty clears a subset, drop removes a value from every subset, swap
+    exchanges two masks.  copy then drop, or past then drop, can make the
+    sizes add up to n again with a union that is not bits 1..n."""
+    n = draw(st.integers(-2, 14))
+    s = draw(st.integers(0, 4))
+    masks = [0] * s
+    if s:
+        for v in range(1, n + 1):
+            masks[draw(st.integers(0, s - 1))] |= 1 << v
+        for edit in draw(st.lists(st.sampled_from(WELL_FORMED_EDITS), max_size=3)):
+            j = draw(st.integers(0, s - 1))
+            v = draw(st.integers(1, max(n, 1)))
+            if edit == "copy":
+                masks[j] |= 1 << v
+            elif edit == "past":
+                masks[j] |= 1 << draw(st.integers(max(n, 0) + 1, max(n, 0) + 4))
+            elif edit == "empty":
+                masks[j] = 0
+            elif edit == "drop":
+                masks = [m & ~(1 << v) for m in masks]
+            else:
+                k = draw(st.integers(0, s - 1))
+                masks[j], masks[k] = masks[k], masks[j]
+    return Partition(tuple(IntSet.from_mask(m) for m in masks), n)
+
+
+def _masks(*masks, n):
+    return Partition(tuple(IntSet.from_mask(m) for m in masks), n)
+
+
+@given(mask_partitions())
+@example(base_partition())  # clean
+@example(_masks(0b0110, 0b1100, n=3))  # an overlap, union still 1..3
+@example(_masks(0b0110, 0b10000, n=3))  # 4 above n, 3 missing: sizes add up to n
+@example(_masks(0b1110, 0, n=3))  # an empty subset
+@example(_masks(0b1010, n=3))  # 2 missing
+@example(_masks(0b10, n=0))
+@example(_masks(0b10, n=-1))
+@example(_masks(n=3))  # no subsets
+def test_well_formed_mask_test_equals_the_loop(p):
+    assert well_formed_violations(p) == well_formed_by_loop(p)
 
 
 def test_validate_raises_with_details():

@@ -15,6 +15,7 @@ from weakschur import (
     condition2_violations,
     condition3_violations,
     construct_step,
+    decide,
     find_seeds,
     iterate,
     strong_violations,
@@ -621,3 +622,122 @@ def test_ten_subset_chain_same_report_with_the_block_path_disabled(monkeypatch):
     monkeypatch.setattr(verifier, "weak_violations", _weak_by_blocks_only)
     assert reports() == expected
     assert block_calls
+
+
+# --- _verify against a reference built from the naive checks ----------------
+
+#: every selection ConditionSet accepts
+ALL_SELECTIONS = tuple(
+    ConditionSet(weak_sum_free=w, no_double=d, seed_extension=e)
+    for w in (True, False) for d in (True, False) for e in (True, False) if w or d or e
+)
+
+
+def reference_verify(p, which, first_only):
+    """verify's report from independent pieces: a set scan for
+    well-formedness and for a/2a pairs, weak_violations_naive for
+    condition 1 and old_condition3 for condition 3.  With first_only the
+    checks stop at the first that finds anything, condition 1 counting
+    per subset and keeping its first triple (smallest a, then smallest b),
+    and the smallest violation found is kept."""
+    checked = {"well-formed"}
+    out = []
+    if p.n < 1 or p.s < 1:
+        out.append(Violation("not-a-partition", None))
+    else:
+        seen = set()
+        for i, sub in enumerate(p.subsets, 1):
+            if not sub.elements:
+                out.append(Violation("empty-subset", i))
+            for e in sub.elements:
+                if e > p.n:
+                    out.append(Violation("not-a-partition", i, (e,)))
+                if e in seen:
+                    out.append(Violation("not-a-partition", i, (e,)))
+            seen.update(sub.elements)
+        out += [Violation("not-a-partition", None, (e,))
+                for e in range(1, p.n + 1) if e not in seen]
+    if not out:
+        stages = []
+        if which.weak_sum_free:
+            for i, sub in enumerate(p.subsets, 1):
+                found = [replace(v, subset_index=i) for v in weak_violations_naive(sub)]
+                stages.append(("weak-sum-free", found[:1] if first_only else found))
+        if which.no_double:
+            stages.append(("no-double", [
+                Violation("double-element", i, (a, 2 * a))
+                for i, sub in enumerate(p.subsets, 1) for a in sub.elements
+                if a > 4 and 2 * a in set(sub.elements)]))
+        if which.seed_extension:
+            stages.append(("seed-extension", old_condition3(p)))
+        for label, found in stages:
+            checked.add(label)
+            out += found
+            if first_only and out:
+                break
+    if first_only:
+        out = sorted(out, key=lambda v: v.sort_key)[:1]
+    return ViolationReport.build(out, checked)
+
+
+#: partitions with no weak-sum triple that break condition 2 or 3, or both
+VERIFY_EXAMPLES = (
+    Partition.from_subsets([(1, 2, 4, 7), (3, 5, 6, 10), (8, 9)], 10),  # 5, 10
+    Partition.from_subsets([(1, 2, 4, 8, 18, 19), (3, 5, 6, 7, 20, 21), range(9, 18)], 21),
+    Partition.from_subsets([(1, 2, 4, 8, 18, 21), (3, 5, 6, 7, 19, 20), range(9, 18)], 21),
+)
+
+#: clean seeds: every check passes
+VERIFY_SEEDS = find_seeds(3, 21, 40) + find_seeds(4, 24, 40)
+
+
+@st.composite
+def verify_cases(draw):
+    """A clean seed, a condition-1 witness of decide, an example that
+    breaks condition 2 or 3, or a random colouring (mostly violating),
+    then up to three edits: move a value (still well formed), or copy it,
+    drop it, add one past the order, or empty a subset (malformed)."""
+    source = draw(st.sampled_from(["seed", "witness", "example", "colouring"]))
+    if source == "seed":
+        p = draw(st.sampled_from(VERIFY_SEEDS))
+    elif source == "witness":
+        k = draw(st.integers(2, 3))
+        p = decide(k, draw(st.integers(k, 8 if k == 2 else 13)))  # WS(2) = 8
+    elif source == "example":
+        p = draw(st.sampled_from(VERIFY_EXAMPLES + (base_partition(),)))
+    else:
+        n = draw(st.integers(1, 30))
+        colours = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        masks = [0] * (max(colours) + 1)
+        for v, c in enumerate(colours, 1):
+            masks[c] |= 1 << v
+        p = Partition(tuple(map(IntSet.from_mask, masks)), n)
+    masks, n = [sub.mask for sub in p.subsets], p.n
+    for edit in draw(st.lists(st.sampled_from(["move", "move", "copy", "drop", "past", "empty"]),
+                              max_size=3)):
+        j = draw(st.integers(0, len(masks) - 1))
+        bit = 1 << draw(st.integers(1, n))
+        if edit in ("move", "drop"):
+            masks = [m & ~bit for m in masks]
+        if edit in ("move", "copy"):
+            masks[j] |= bit
+        elif edit == "past":
+            masks[j] |= 2 << n
+        elif edit == "empty":
+            masks[j] = 0
+    return Partition(tuple(map(IntSet.from_mask, masks)), n)
+
+
+@settings(deadline=None)
+@given(verify_cases())
+@example(base_partition())
+def test_verify_equals_the_naive_reference_for_every_selection(p):
+    memo: dict = {}  # shared by every selection, as find_seeds shares one
+    for which in ALL_SELECTIONS:
+        for first_only in (False, True):
+            expected = reference_verify(p, which, first_only)
+            assert verify(p, which, first_only=first_only) == expected
+            violations, checked = verifier._verify(p, which, first_only, memo)
+            assert ViolationReport.build(violations, checked) == expected
+            if first_only:
+                assert len(violations) <= 1
