@@ -195,30 +195,18 @@ def validate_seed(p: Partition) -> ViolationReport:
     Advisories, reported only when nothing blocks, mean at least one step
     works but the chain provably stops soon after.  An empty report
     certifies the chain iterates indefinitely: every rule re-establishes
-    itself under the step, so the induction closes.  The checks run in
-    _validate_seed; this builds its one report.
+    itself under the step, so the induction closes.
     """
-    return ViolationReport.build(*_validate_seed(p, {}))
-
-
-def _validate_seed(p: Partition, memo: dict) -> tuple[list[Violation], set[str]]:
-    """validate_seed's checks, as (violations, labels of the checks that
-    ran), unsorted: _verify's pair for every condition, extended in place
-    by the seed rules.  Those go through memo too, under ("seed-rules",
-    subset 1's mask, n), which is all they read."""
-    violations, checked = _verify(p, ALL_CONDITIONS, False, memo)
+    violations, checked = _verify(p, ALL_CONDITIONS, False)
     if LABEL_WEAK in checked:  # the conditions ran, so p is well-formed
         checked.add("look-ahead")
-        key = ("seed-rules", p.subsets[0].mask, p.n)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = tuple(_seed_rule_violations(p))
+        found = _seed_rule_violations(p)
         violations += [v for v in found if not v.is_advisory]
         if not violations:
             # advisories describe the chain's future; moot unless a first
             # step is actually possible
-            violations += found
-    return violations, checked
+            violations = found
+    return ViolationReport.build(violations, checked)
 
 
 @dataclass(frozen=True)

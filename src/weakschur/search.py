@@ -2,13 +2,14 @@
 
 This is the library's independent oracle: agreement between a search
 witness and the verifier, or between an exact value here and a bound
-there, is evidence rather than tautology.  It shares two things with the
-construction, both for seeds only: the seed prune reads the construction's
-seed-rule table (``_seed_rules`` and ``GAP``), and ``find_seeds`` keeps
-what ``validate_seed`` passes.  A test compares ``find_seeds`` with the
-unpruned walk filtered by ``validate_seed``, so a prune that drops a
-clean seed shows there.  Values are coloured in the fixed order 1, 2,
-..., n; colour symmetry is broken by first use, and every result is
+there, is evidence rather than tautology.  It shares one thing with the
+construction, for seeds only: the seed prune reads the construction's
+seed-rule table (``_seed_rules``, ``MIN_ORDER`` and ``GAP``), and
+``find_seeds`` returns the pruned walk's leaves without checking them
+again.  A test compares ``find_seeds`` with the walk without the seed
+rules, filtered by ``validate_seed``, so a prune that drops a clean seed
+or keeps a dirty one shows there.  Values are coloured in the fixed order
+1, 2, ..., n; colour symmetry is broken by first use, and every result is
 deterministic, including node counts.
 """
 
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .construct import GAP, MIN_ORDER, _seed_rules, _validate_seed
+from .construct import GAP, MIN_ORDER, _seed_rules
 from .intset import IntSet
 from .partition import Partition
 from .verifier import ConditionSet
@@ -314,24 +315,36 @@ def find_seeds(
 
     Subset 1 is the designated seed-extension subset and may be any class
     (it is exempt from first-use ordering); subsets 2..s appear in first-use
-    order, so each labelled seed shows up exactly once.  Orders up to
-    MIN_ORDER cannot pass validate_seed cleanly and yield no results.
+    order, so each labelled seed shows up exactly once.
+
+    The walk's prune is the seed policy, so its leaves are returned as
+    they are, each through Partition.validate() alone.  Every rule
+    validate_seed checks is a prune of the walk:
+
+    * condition 1: a value is placed only where ``sums`` has no bit for it;
+    * condition 2: ``no_double`` keeps an even v > 9 out of the colour
+      holding v/2;
+    * condition 3: n stays out of colour 1, and so does any v whose
+      partner n+2-v is already there;
+    * the ``_seed_rules(n)`` rows: ``seed_filters`` bans their values from
+      colour 1, and any v > 4 whose v - GAP is already there;
+    * well-formedness: each value is placed once, and a leaf must use
+      every colour;
+    * orders up to MIN_ORDER cannot pass validate_seed cleanly and yield
+      no results.
     """
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
     if limit <= 0 or n < s or n <= MIN_ORDER:
         return []
     seeds: list[Partition] = []
-    # one walk's leaves share most subsets: each distinct mask is one
-    # IntSet, and each per-subset check runs once (see _validate_seed);
-    # a leaf reads its violation list and builds no report
+    # one walk's leaves share most subsets: each distinct mask is one IntSet
     sets: dict[int, IntSet] = {}
-    memo: dict = {}
 
     def emit(masks: list[int]) -> bool:
         p = _partition_from(masks, s, n, sets)
-        if not _validate_seed(p, memo)[0]:
-            seeds.append(p)
+        p.validate()
+        seeds.append(p)
         return len(seeds) >= limit
 
     _search(

@@ -277,16 +277,15 @@ def condition2_violations(p: Partition) -> list[Violation]:
     Doubling with a <= 4 is exempt: those sums are the only a+a=c shapes a
     step can run into below the reflection zone, and they are harmless.
     """
-    return [v for i, sub in enumerate(p.subsets, 1) for v in _doubles(i, sub.mask)]
-
-
-def _doubles(i: int, m: int) -> list[Violation]:
-    """condition2_violations of subset i, whose mask is m."""
-    # keep the even binary digits: bit a of halves is bit 2a of m
-    bits = format(m, "b")
-    halves = int(bits[(len(bits) - 1) % 2::2], 2)
-    # a > 4 with 2a in the subset
-    return [Violation("double-element", i, (a, 2 * a)) for a in bit_positions(halves & m & -32)]
+    out = []
+    for i, sub in enumerate(p.subsets, 1):
+        m = sub.mask
+        # keep the even binary digits: bit a of halves is bit 2a of m
+        bits = format(m, "b")
+        halves = int(bits[(len(bits) - 1) % 2::2], 2)
+        for a in bit_positions(halves & m & -32):  # a > 4 with 2a in sub
+            out.append(Violation("double-element", i, (a, 2 * a)))
+    return out
 
 
 def condition3_violations(p: Partition) -> list[Violation]:
@@ -343,38 +342,26 @@ def verify(
     The checks run in _verify; this builds its one report.
     """
     return ViolationReport.build(
-        *_verify(p, which if which is not None else ALL_CONDITIONS, first_only, {}))
+        *_verify(p, which if which is not None else ALL_CONDITIONS, first_only))
 
 
 def _verify(
-    p: Partition, which: ConditionSet, first_only: bool, memo: dict
+    p: Partition, which: ConditionSet, first_only: bool
 ) -> tuple[list[Violation], set[str]]:
     """verify's checks, as (violations, labels of the checks that ran),
     unsorted but for first_only, which keeps the smallest; verify sorts
-    them into its report.  The list is the caller's to extend.
-
-    Each per-subset check goes through memo, under a key that fully
-    determines its result, so callers that check many partitions sharing
-    subsets pass one memo to all of them: the weak-sum list of subset i by
-    ("weak", i, mask, first_only), its doubles by ("doubles", i, mask),
-    and condition 3 by ("condition3", subset 1's mask, n).  The first item
-    names the check, so keys of different checks never meet.  Values are
-    tuples, so no caller can change what another reads.  Well-formedness
-    runs on every call, and the checks only ever see a well-formed p."""
+    them into its report, and validate_seed adds the seed rules to the
+    list before it builds its own.  Well-formedness runs first, and the
+    condition checks only ever see a well-formed p."""
     checked = {LABEL_WELL_FORMED}
     out = well_formed_violations(p)
     if out:
         return out[:1] if first_only else out, checked  # already sorted
-    masks = [sub.mask for sub in p.subsets]
     s1_weak = None
     if which.weak_sum_free:
         checked.add(LABEL_WEAK)
-        for i, m in enumerate(masks, 1):
-            key = ("weak", i, m, first_only)
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = tuple(weak_violations(
-                    p.subsets[i - 1], first_only=first_only, subset_index=i))
+        for i, sub in enumerate(p.subsets, 1):
+            found = weak_violations(sub, first_only=first_only, subset_index=i)
             if i == 1:
                 s1_weak = found
             out += found
@@ -382,30 +369,16 @@ def _verify(
                 return [min(out, key=violation_key)], checked
     if which.no_double:
         checked.add(LABEL_NO_DOUBLE)
-        for i, m in enumerate(masks, 1):
-            key = ("doubles", i, m)
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = tuple(_doubles(i, m))
-            out += found
+        out += condition2_violations(p)
         if first_only and out:
             return [min(out, key=violation_key)], checked
     if which.seed_extension:
         checked.add(LABEL_SEED_EXT)
-        m = masks[0]
-        key = ("condition3", m, p.n)
-        found = memo.get(key)
-        if found is None:
-            # a first_only list reaches here only when it is empty, so it
-            # is the full list too
-            if s1_weak is None:
-                weak_key = ("weak", 1, m, False)
-                s1_weak = memo.get(weak_key)
-                if s1_weak is None:
-                    s1_weak = memo[weak_key] = tuple(
-                        weak_violations(p.subsets[0], subset_index=1))
-            found = memo[key] = tuple(_condition3(p, s1_weak))
-        out += found
+        # a first_only list reaches here only when it is empty, so it is
+        # the full list too
+        if s1_weak is None:
+            s1_weak = weak_violations(p.subsets[0], subset_index=1)
+        out += _condition3(p, s1_weak)
     if first_only and out:
         return [min(out, key=violation_key)], checked
     return out, checked

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weakschur import (
@@ -21,10 +21,9 @@ from weakschur import (
     validate_seed,
     verify,
 )
-from weakschur.construct import _require_seed, _seed_rule_violations, _validate_seed
+from weakschur.construct import _require_seed, _seed_rule_violations
 from weakschur.intset import reflect
 from weakschur.partition import VIOLATION_KINDS, ConstructionTrace, Violation, ViolationReport
-from weakschur.verifier import _verify
 
 CHAIN_ORDERS = [62, 185, 554, 1661, 4982, 14945, 44834, 134501, 403502]
 
@@ -440,10 +439,10 @@ def test_bound_sequence_enforces_recurrence():
     assert BoundSequence(3, (21, 62)).as_json() == {"start_s": 3, "orders": [21, 62]}
 
 
-# --- one memo shared by many checks equals a fresh check each time ----------
+# --- every kind validate_seed reports ---------------------------------------
 
 #: partitions that, between them, show every kind validate_seed reports
-MEMO_EXAMPLES = (
+SEED_EXAMPLES = (
     base_partition(),
     Partition.from_subsets([(1, 2), (3, 4, 5)], 5),  # clean
     Partition.from_subsets([(1, 2, 3), (4,)], 4),  # weak-sum
@@ -463,83 +462,11 @@ MEMO_EXAMPLES = (
     Partition.from_subsets([(1, 2, 4, 7), (3, 5, 6), (8, 9, 10)], 10),
 )
 
-MEMO_SELECTIONS = (
-    ConditionSet.all(),
-    ConditionSet.condition1(),
-    ConditionSet.from_labels("2"),
-    ConditionSet.from_labels("3"),
-    ConditionSet.from_labels("1,3"),
-    ConditionSet.from_labels("2,3"),
-)
 
-
-def test_memo_examples_show_every_seed_kind():
-    kinds = {v.kind for p in MEMO_EXAMPLES for v in validate_seed(p).violations}
+def test_seed_examples_show_every_seed_kind():
+    kinds = {v.kind for p in SEED_EXAMPLES for v in validate_seed(p).violations}
     assert kinds == set(VIOLATION_KINDS) - {"strong-sum"}
-    assert not validate_seed(MEMO_EXAMPLES[1]).violations
-    breaks = {(p.n, v.witness) for p in MEMO_EXAMPLES for v in validate_seed(p).violations
+    assert not validate_seed(SEED_EXAMPLES[1]).violations
+    breaks = {(p.n, v.witness) for p in SEED_EXAMPLES for v in validate_seed(p).violations
               if v.kind == "advisory-chain-break"}
     assert {(8, (6,)), (5, (4, 12)), (10, (4, 7)), (4, (10,))} <= breaks
-
-
-@st.composite
-def partitions_sharing_subsets(draw):
-    """A walk of one-edit steps from an example or a random colouring,
-    each step a partition that shares all but one or two subsets with the
-    last: move, copy or drop a value, swap two subsets' labels, grow or
-    shrink the order by one, or add a value past the order.  Copies, drops
-    and emptied subsets make malformed partitions, swaps put one mask
-    under two labels, and the order changes give one subset 1 mask under
-    two orders."""
-    if draw(st.booleans()):
-        start = draw(st.sampled_from(MEMO_EXAMPLES))
-        masks, n = [sub.mask for sub in start.subsets], start.n
-    else:
-        n = draw(st.integers(1, 14))
-        colours = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        masks = [0] * (max(colours) + 1)
-        for v, c in enumerate(colours, 1):
-            masks[c] |= 1 << v
-    out = [Partition(tuple(map(IntSet.from_mask, masks)), n)]
-    for _ in range(draw(st.integers(0, 12))):
-        edit = draw(st.sampled_from(["move", "move", "move", "copy", "drop", "swap",
-                                     "grow", "shrink", "past"]))
-        v = draw(st.integers(1, max(n, 1)))
-        j = draw(st.integers(0, len(masks) - 1))
-        bit = 1 << v
-        if edit == "swap":
-            k = draw(st.integers(0, len(masks) - 1))
-            masks[j], masks[k] = masks[k], masks[j]
-        if edit in ("move", "drop"):
-            masks = [m & ~bit for m in masks]
-        if edit in ("move", "copy"):
-            masks[j] |= bit
-        elif edit == "grow":
-            n += 1
-            masks[j] |= 1 << n
-        elif edit == "shrink" and n > 1:
-            masks = [m & ~(1 << n) for m in masks]
-            n -= 1
-        elif edit == "past":
-            masks[j] |= 1 << (n + 1)
-        out.append(Partition(tuple(map(IntSet.from_mask, masks)), n))
-    return out
-
-
-@settings(deadline=None)
-@given(partitions_sharing_subsets())
-@example(list(MEMO_EXAMPLES))
-# one subset with a double (5, 10) under label 2, then under label 1
-@example([MEMO_EXAMPLES[3], Partition(tuple(MEMO_EXAMPLES[3].subsets[k] for k in (1, 0, 2)), 10)])
-def test_shared_memo_gives_the_fresh_reports(ps):
-    # the memo is keyed by what fully determines each cached result, so
-    # one memo across many partitions and selections changes no report
-    memo: dict = {}
-    for p in ps:
-        assert ViolationReport.build(*_validate_seed(p, memo)) == validate_seed(p)
-        for which in MEMO_SELECTIONS:
-            for first_only in (False, True):
-                assert ViolationReport.build(*_verify(p, which, first_only, memo)) == verify(
-                    p, which, first_only=first_only)
-    for found in memo.values():
-        assert isinstance(found, tuple)

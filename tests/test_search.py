@@ -254,20 +254,45 @@ def test_find_seeds_shares_one_intset_per_distinct_subset():
     assert len({id(sub) for sub in subsets}) == len(distinct) < len(subsets) // 10
 
 
+def _seed_walk_leaves(s, n, *, seed_filters):
+    """The leaves of find_seeds' walk, with or without the seed-rule rows
+    of its prune, as Partitions in walk order."""
+    leaves = []
+
+    def emit(masks):
+        leaves.append(_partition_from(masks, s, n))
+        return False
+
+    _search(s, n, no_double=True, special_first=True, seed_filters=seed_filters, emit=emit)
+    return leaves
+
+
 def test_find_seeds_matches_the_unpruned_walk_filtered_by_validate_seed():
-    # the seed prune may drop only what validate_seed rejects; both read
-    # one table, so this is what shows a prune that loses a clean seed
-    for s, n in product(range(1, 4), range(1, 24)):
-        clean = []
-
-        def emit(masks):
-            p = _partition_from(masks, s, n)
-            if not validate_seed(p).violations:
-                clean.append(p)
-            return False
-
-        _search(s, n, no_double=True, special_first=True, emit=emit)
+    # find_seeds checks no leaf: its prune is the seed policy, so this is
+    # what shows a prune that drops a clean seed or keeps a dirty one
+    cases = [*product(range(1, 4), range(1, 24)), *product([4], range(5, 11))]
+    for s, n in cases:
+        clean = [p for p in _seed_walk_leaves(s, n, seed_filters=False)
+                 if not validate_seed(p).violations]
         assert find_seeds(s, n, 10**9) == clean, (s, n)
+
+
+def test_a_walk_without_the_seed_rules_emits_dirty_seeds():
+    # the cross-check above has teeth: without the seed-rule rows the walk
+    # emits leaves validate_seed rejects, so a prune that lost them would
+    # fail it
+    leaves = _seed_walk_leaves(3, 18, seed_filters=False)
+    dirty = [p for p in leaves if validate_seed(p).violations]
+    assert len(dirty) == 102
+    assert [p for p in leaves if p not in dirty] == find_seeds(3, 18, 10**9)
+
+
+def test_find_seeds_past_the_cross_checked_orders_pass_validate_seed():
+    # the unpruned walk is too large to compare above n = 10 at s = 4, so
+    # there the seeds found are checked one by one
+    for n in range(11, 41):
+        for p in find_seeds(4, n, 100):
+            assert not validate_seed(p).violations, (n, serialize_partition(p))
 
 
 # --- the explicit-stack loop against the recursive reference -------------------

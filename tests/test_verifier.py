@@ -732,12 +732,11 @@ def verify_cases(draw):
 @given(verify_cases())
 @example(base_partition())
 def test_verify_equals_the_naive_reference_for_every_selection(p):
-    memo: dict = {}  # shared by every selection, as find_seeds shares one
     for which in ALL_SELECTIONS:
         for first_only in (False, True):
             expected = reference_verify(p, which, first_only)
             assert verify(p, which, first_only=first_only) == expected
-            violations, checked = verifier._verify(p, which, first_only, memo)
+            violations, checked = verifier._verify(p, which, first_only)
             assert ViolationReport.build(violations, checked) == expected
             if first_only:
                 assert len(violations) <= 1
