@@ -114,32 +114,19 @@ def _seed_rule_violations(p: Partition) -> list[Violation]:
     return out
 
 
-def _require_seed(p: Partition) -> None:
+def _require_seed(p: Partition, step: Optional[int] = None) -> ViolationReport:
+    """validate_seed's report on p; raises SeedConditionError, carrying
+    step, on its first blocking entry."""
     report = validate_seed(p)
     blocking = report.blocking()
     if blocking:
         first = min(blocking, key=lambda v: VIOLATION_KINDS[v.kind].rank)
-        raise SeedConditionError(VIOLATION_KINDS[first.kind].condition, report)
+        raise SeedConditionError(VIOLATION_KINDS[first.kind].condition, report, step)
+    return report
 
 
-def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
-    """Extend a conforming partition of 1..m to one of 1..3m-1.
-
-    Three rules build the output, each one mask operation:
-
-    1. subset 1 additionally receives m+2, 2m+2 and the reflection
-       3m+4-a of each of its own elements a > 4;
-    2. every other subset i receives the reflections of its own elements
-       a > 4;
-    3. a brand new subset takes m+1, the block m+3 .. 2m+1, and 2m+3.
-
-    Elements 1..4 are never reflected; the reflections of 5..m tile
-    2m+4 .. 3m-1 exactly once each, which is what makes the output a
-    partition.  The input is re-verified first, refused on any blocking
-    entry of validate_seed: without that the output would not be a weak
-    Schur partition at all.
-    """
-    _require_seed(p)
+def _step(p: Partition) -> tuple[Partition, ConstructionTrace]:
+    """The step itself, on an input the caller has already guarded."""
     m = p.n
     r = 3 * m + 4
     reflected = [reflect(sub.mask & -32, r) for sub in p.subsets]  # a > 4 only
@@ -161,28 +148,54 @@ def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
     return out, trace
 
 
+def construct_step(p: Partition) -> tuple[Partition, ConstructionTrace]:
+    """Extend a conforming partition of 1..m to one of 1..3m-1.
+
+    Three rules build the output, each one mask operation:
+
+    1. subset 1 additionally receives m+2, 2m+2 and the reflection
+       3m+4-a of each of its own elements a > 4;
+    2. every other subset i receives the reflections of its own elements
+       a > 4;
+    3. a brand new subset takes m+1, the block m+3 .. 2m+1, and 2m+3.
+
+    Elements 1..4 are never reflected; the reflections of 5..m tile
+    2m+4 .. 3m-1 exactly once each, which is what makes the output a
+    partition.  Every call verifies its input first and refuses it on any
+    blocking entry of validate_seed: without that the output would not be
+    a weak Schur partition at all.  iterate guards only the seed when its
+    report is empty, and relies on the induction for the outputs.
+    """
+    _require_seed(p)
+    return _step(p)
+
+
 def iterate(
     seed: Partition, steps: int
 ) -> list[tuple[Partition, ConstructionTrace]]:
-    """Apply construct_step repeatedly, re-checking conditions throughout.
+    """Apply the step repeatedly, guarding the seed once.
 
-    Every intermediate output is re-verified before the next step consumes
-    it: that is construct_step's own precondition check, kept even though
-    the induction proves it redundant.  The final output is not gated on
-    the conditions; a seed carrying the look-ahead advisory legitimately
-    supports exactly one step, and that step's output is still a valid
-    weak Schur partition.  Raises SeedConditionError carrying the 0-based
-    index of the step whose re-validation failed.
+    The seed goes through construct_step's guard.  An empty validate_seed
+    report is exactly the induction's hypothesis: every condition and seed
+    rule re-establishes itself under the step, so each later output would
+    pass the guard as well, and the remaining steps run unguarded.  While
+    the report holds advisories the chain may stop soon, so the output of
+    each step is guarded before the next consumes it, until one report
+    comes back empty.  The final output is not gated on the conditions; a
+    seed carrying the look-ahead advisory legitimately supports exactly one
+    step, and that step's output is still a valid weak Schur partition.
+    Raises SeedConditionError carrying the 0-based index of the step whose
+    guard failed.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     chain: list[tuple[Partition, ConstructionTrace]] = []
     current = seed
+    guarded = True
     for k in range(steps):
-        try:
-            current, trace = construct_step(current)
-        except SeedConditionError as e:
-            raise SeedConditionError(e.failed, e.report, step=k) from e
+        if guarded:
+            guarded = not _require_seed(current, k).passed
+        current, trace = _step(current)
         chain.append((current, trace))
     return chain
 

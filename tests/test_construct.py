@@ -269,15 +269,64 @@ def test_iterate_rejects_negative(base):
         iterate(base, -1)
 
 
-def test_iterate_reports_failing_step():
+def test_induction_holds_on_searched_clean_seeds():
+    """iterate guards a clean seed once and trusts the step after that, so
+    the step must keep every output clean: each unguarded chain equals the
+    guarded one, and validate_seed reports nothing on any output."""
+    seeds = [seed for s in range(1, 5) for n in range(5, 41) for seed in find_seeds(s, n, 6)]
+    assert len(seeds) > 300
+    for seed in seeds:
+        chain = iterate(seed, 3)
+        p, guarded = seed, []
+        for _ in range(3):
+            p, trace = construct_step(p)
+            guarded.append((p, trace))
+        assert chain == guarded
+        for out, _ in chain:
+            assert validate_seed(out).violations == ()
+
+
+def _count_seed_checks(monkeypatch):
+    """Record the order of every partition the step guard checks."""
+    orders = []
+
+    def counted(p):
+        orders.append(p.n)
+        return validate_seed(p)
+
+    monkeypatch.setattr("weakschur.construct.validate_seed", counted)
+    return orders
+
+
+def test_iterate_checks_a_clean_seed_once(base, monkeypatch):
+    orders = _count_seed_checks(monkeypatch)
+    chain = iterate(base, 5)
+    assert [p.n for p, _ in chain] == CHAIN_ORDERS[:5]
+    assert orders == [21]
+
+
+def test_iterate_reports_failing_step(monkeypatch):
     # passes validate_seed except for the advisory, so exactly one step works
+    orders = _count_seed_checks(monkeypatch)
     p = Partition.from_subsets([(1, 5), (2, 3, 6), (4,)])
     chain = iterate(p, 1)
     assert chain[0][0].n == 17
+    assert orders == [6]
+    orders.clear()
     with pytest.raises(SeedConditionError) as e:
-        iterate(p, 2)
+        iterate(p, 3)
     assert e.value.step == 1
     assert "condition 3" in str(e.value)
+    # the advisory keeps the guard on, so the step-1 input is checked too
+    assert orders == [6, 17]
+
+
+def test_construct_step_checks_every_call(base, monkeypatch):
+    orders = _count_seed_checks(monkeypatch)
+    p = base
+    for _ in range(3):
+        p, _ = construct_step(p)
+    assert orders == [21, 62, 185]
 
 
 def test_theorem_property_along_chain(base):
