@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exact weak Schur numbers for 1, 2 and 3 subsets by exhaustive search.
 
-The backtracker colours 1, 2, ..., n in order, keeps a per-colour bitmask
-of forbidden sums, and breaks colour symmetry by first use.  When it
+The backtracker colours 1, 2, ..., n in order, keeps the forbidden sums
+of every colour interleaved in one bitmask, and breaks colour symmetry by
+first use.  When it
 exhausts the tree at n+1, the value at n is exact, not a bound.  These
 values come from search alone; the construction never enters.
 """

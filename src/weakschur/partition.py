@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, NamedTuple, Optional
 
 from .intset import IntSet, bit_positions, run_bounds
@@ -209,11 +209,14 @@ class Partition:
 
     Construction does not validate (the verifier treats malformed
     partitions as reportable data); every operation that hands a Partition
-    to a caller runs :meth:`validate` first.
+    to a caller runs :meth:`validate` first.  The subsets and n never
+    change, so a check that passed is remembered on the instance: a
+    partition is checked once, however many operations it passes through.
     """
 
     subsets: tuple[IntSet, ...]
     n: int
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subsets", tuple(self.subsets))
@@ -241,9 +244,12 @@ class Partition:
         return p
 
     def validate(self) -> None:
+        if self._valid:
+            return
         vios = well_formed_violations(self)
         if vios:
             raise InvalidPartitionError(vios)
+        object.__setattr__(self, "_valid", True)
 
     def __repr__(self) -> str:
         return f"Partition(s={self.s}, n={self.n})"

@@ -11,6 +11,12 @@ rules, filtered by ``validate_seed``, so a prune that drops a clean seed
 or keeps a dirty one shows there.  Values are coloured in the fixed order
 1, 2, ..., n; colour symmetry is broken by first use, and every result is
 deterministic, including node counts.
+
+The walk's state is colour-parallel: one int holds every colour's
+members and one every ban, each walk rule is a ban bit, and a level's
+free colours are a few bits of one int (see ``_search``).  States wider
+than ``PACKED_MAX_BITS`` take a walk with one mask pair per colour, which
+keeps memory bounded; both visit the same nodes in the same order.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ class SearchResult:
         }
 
 
+#: widest colour-parallel walk state, in bits (s * (n + 1)); its stack
+#: holds about s*n*n bits, so wider states take the per-colour walk
+PACKED_MAX_BITS = 1 << 12
+
+
 def _search(
     s: int,
     n: int,
@@ -76,21 +87,6 @@ def _search(
 ) -> tuple[bool, int]:
     """Core backtracker over colourings of 1..n (n >= 1) with s colours.
 
-    Per colour, ``members`` is the bitmask of placed values and ``sums`` the
-    bitmask of values that would close a weak triple there (bit v set means
-    some a < b in the colour have a + b = v), so feasibility of a colour is
-    one AND with ``bit = 1 << v`` and placement is one shifted OR.
-
-    The depth-first walk is one loop over an explicit stack, not recursion,
-    so its depth is bounded by memory rather than the interpreter's
-    recursion limit.  Level v keeps, in per-level arrays, the colour placed
-    there (``colour_of``), the highest colour open before it (``hi_at``) and
-    the ``members``/``sums`` masks of that colour before the placement; on
-    backtracking they are restored and the scan resumes at the next colour.
-    A child that is a leaf (v = n) or provably dead (``special_first`` with
-    fewer values left than empty colours) is judged where it is placed and
-    undone at once, without entering a level.
-
     First-use symmetry breaking: value v may reuse any open colour or open
     the next one.  With ``special_first`` colour 1 is exempt from that
     ordering (it is pre-opened); it then also enforces the seed-extension
@@ -98,10 +94,29 @@ def _search(
     and every colour, colour 1 included, must end up non-empty.
     ``seed_filters`` additionally prunes colour 1 by the construction's
     seed-rule table: no value of a ``_seed_rules(n)`` row, and no pair at
-    distance ``GAP`` whose larger member is above 4.  ``emit`` sees each
-    complete assignment as its colour masks (a list of s masks, colour c's
-    at index c - 1, bit v set when value v has colour c; a colour left
-    unused is 0) and returns True to stop the search.
+    distance ``GAP`` whose larger member is above 4.  ``no_double`` keeps
+    2a out of a colour holding a, for a >= 5.  ``emit`` sees each complete
+    assignment as its colour masks (a list of s masks, colour c's at index
+    c - 1, bit v set when value v has colour c; a colour left unused is 0)
+    and returns True to stop the search.
+
+    The depth-first walk is one loop over an explicit stack, not recursion,
+    so its depth is bounded by memory rather than the interpreter's
+    recursion limit.  Its state is colour-parallel (``_search_packed``):
+    ``M`` has bit w*s + k set when value w has colour k + 1, and ``S``,
+    kept relative to the current level v, has bit (w - v)*s + k set when
+    colour k + 1 may not take w.  The free colours at v are the low s bits
+    of ``~S`` within the open ones, tried lowest first (colour 1, 2, ...),
+    and placing v in colour k + 1 ORs the colour's members, shifted by v,
+    into ``S`` and shifts it down one level.  Every rule is a bit of ``S``:
+    a weak sum m + v; under ``no_double`` 2v in v's colour; and for colour
+    1, n + 2 - v and v + GAP, set as v is placed, and n and the seed-rule
+    values, preloaded.  A child that is a leaf (v = n), has no free colour
+    or cannot be completed is counted but not entered.  Each level saves
+    its ``M`` and ``S``, about s*v bits each, so a state wider than
+    ``PACKED_MAX_BITS`` takes ``_search_per_colour`` instead, which keeps
+    one mask pair per colour and saves one colour's pair a level.  Both
+    walks visit the same nodes and emit the same leaves in the same order.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -111,13 +126,104 @@ def _search(
     """
     if special_first and n < s:
         return False, 0  # the root is already dead: s colours need s values
+    walk = _search_packed if s * (n + 1) <= PACKED_MAX_BITS else _search_per_colour
+    limit = sys.maxsize if budget is None else budget
+    return walk(s, n, no_double, special_first, seed_filters, limit, emit)
+
+
+def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
+    """_search's walk with all s colours interleaved in two ints, ``M``
+    and ``S`` (see ``_search``).  ``lanes`` maps colour k + 1's bit to the
+    bits w*s + k for every w, so placing v there is
+    ``S' = (S | adds & lanes[b]) >> s`` with ``adds = M | rules[v]``:
+    ``rules[v]`` holds the bans placing v makes besides weak sums, at their
+    offsets from v.  Each level saves one (M, S, hi, free, adds) tuple.
+    """
+    width = s * (n + 1)
+    lane0 = ((1 << width) - 1) // ((1 << s) - 1)  # bit w*s for w = 0..n
+    lanes = {1 << k: lane0 << k for k in range(s)}
+    allowed = [(1 << min(hi + 1, s)) - 1 for hi in range(s + 1)]
+    rules = [0] * (n + 2)
+    if no_double:
+        for v in range(5, n // 2 + 1):
+            rules[v] = allowed[s] << v * s  # 2v, relative to v
+    S = 0
+    if special_first:
+        for v in range(2, (n + 1) // 2 + 1):
+            rules[v] |= 1 << (n + 2 - 2 * v) * s  # n + 2 - v in colour 1
+        banned = {n}
+        if seed_filters:
+            for v in range(max(1, 5 - GAP), n - GAP + 1):
+                rules[v] |= 1 << GAP * s  # v + GAP in colour 1
+            banned.update(value for value, _, _ in _seed_rules(n))
+        for w in banned:
+            if 1 <= w <= n:
+                S |= 1 << (w - 1) * s  # w in colour 1, relative to value 1
+    fmt = f"0{width}b"
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    nodes = 0
+    v = 1
+    vs = s  # v * s
+    M = 0
+    hi = 1 if special_first else 0
+    a = allowed[hi]
+    free = a ^ a & S
+    adds = rules[1]
+    while True:
+        while free:
+            b = free & -free
+            free ^= b
+            if nodes >= limit:
+                raise SearchBudgetExceeded(nodes)
+            nodes += 1
+            child_hi = hi + 1 if b >> hi else hi
+            if v == n:
+                Mc = M | b << vs
+                if special_first and (child_hi < s or not Mc & lane0):
+                    continue  # a colour, maybe colour 1, is left empty
+                t = format(Mc, fmt)
+                if emit([int(t[i::s], 2) for i in range(s - 1, -1, -1)]):
+                    return True, nodes
+                continue
+            Sc = (S | adds & lanes[b]) >> s
+            a = allowed[child_hi]
+            child_free = a ^ a & Sc  # a & ~Sc, without a full-width ~Sc
+            if not child_free:
+                continue
+            Mc = M | b << vs
+            if special_first:
+                short = n - v - s + child_hi  # values left over empty colours 2..s
+                if short < 0 or not short and not Mc & lane0:
+                    continue
+            push((M, S, hi, free, adds))
+            M, S, hi, free = Mc, Sc, child_hi, child_free
+            v += 1
+            vs += s
+            adds = M | rules[v]
+        # every colour at v tried: undo the placement at v - 1
+        if not stack:
+            return False, nodes
+        M, S, hi, free, adds = pop()
+        v -= 1
+        vs -= s
+
+
+def _search_per_colour(s, n, no_double, special_first, seed_filters, limit, emit):
+    """_search's walk with one ``members`` and one ``sums`` mask per colour:
+    ``sums[c]`` has bit v set when some a < b in colour c have a + b = v.
+    Level v keeps, in per-level arrays, the colour placed there
+    (``colour_of``), the highest colour open before it (``hi_at``) and that
+    colour's two masks before the placement, about 2*v bits, so this is
+    the walk for states too wide for ``_search_packed``.
+    """
     members = [0] * (s + 1)
     sums = [0] * (s + 1)
     colour_of = [0] * (n + 1)
     hi_at = [0] * (n + 1)
     saved_members = [0] * (n + 1)
     saved_sums = [0] * (n + 1)
-    limit = sys.maxsize if budget is None else budget
     nodes = 0
     target = n + 2  # forbidden pair-sum inside the designated first subset
     banned_first = frozenset()
@@ -321,7 +427,8 @@ def find_seeds(
     they are, each through Partition.validate() alone.  Every rule
     validate_seed checks is a prune of the walk:
 
-    * condition 1: a value is placed only where ``sums`` has no bit for it;
+    * condition 1: a value is placed only in a colour with no weak-sum ban
+      on it;
     * condition 2: ``no_double`` keeps an even v > 9 out of the colour
       holding v/2;
     * condition 3: n stays out of colour 1, and so does any v whose

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from weakschur import bound, parse_partition
+from weakschur import bound, parse_partition, partition
 from weakschur.cli import MAX_BOUND_S, MAX_GENERATE_ORDER, MAX_SEARCH_ORDER, main
 
 from conftest import BASE_TEXT, GOLDEN_DIR
@@ -367,6 +367,23 @@ def test_search_seeds(tmp_path, capsys):
     for f in files:
         with open(f, encoding="ascii") as fh:
             assert parse_partition(fh).n == 21
+
+
+def test_search_seeds_checks_each_seed_once(capsys, monkeypatch):
+    # find_seeds validates every leaf and the writer validates again; a
+    # Partition remembers a passed check, so the second one costs nothing
+    calls = []
+    check = partition.well_formed_violations
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(partition, "well_formed_violations", counted)
+    code, out, _ = run(capsys, "search", "seeds", "--s", "4", "--n", "40",
+                       "--limit", "50", "--json")
+    assert (code, json.loads(out)["found"]) == (0, 50)
+    assert len(calls) == 50 == len({id(p) for p in calls})
 
 
 def test_search_seeds_none_found(capsys):

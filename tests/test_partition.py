@@ -327,6 +327,29 @@ def test_validate_raises_with_details():
         bad.validate()
 
 
+def test_validate_raises_on_every_call():
+    # only a passed check is remembered: an ill-formed partition is checked
+    # and refused each time
+    bad = Partition((IntSet([1, 2]), IntSet([2, 3])), 3)
+    calls = []
+    check = partition.well_formed_violations
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    with mock.patch.object(partition, "well_formed_violations", counted):
+        for _ in range(3):
+            with pytest.raises(InvalidPartitionError, match="duplicated"):
+                bad.validate()
+            with pytest.raises(InvalidPartitionError):
+                serialize_partition(bad)
+        good = Partition((IntSet([1, 2]), IntSet([3])), 3)
+        good.validate()
+        good.validate()
+    assert calls == [bad] * 6 + [good]
+
+
 def test_serialize_refuses_malformed():
     bad = Partition((IntSet([1, 3]),), 3)
     with pytest.raises(InvalidPartitionError):

@@ -1,6 +1,9 @@
 import hashlib
+import tracemalloc
+from contextlib import nullcontext
 from itertools import product
 from typing import Callable, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from weakschur import (
     verify,
     weak_violations_naive,
 )
+from weakschur import search
 from weakschur.search import _decide, _partition_from, _search
 
 
@@ -384,19 +388,39 @@ def _walk(search, stop_after, **kwargs):
     return outcome, emitted
 
 
+def per_colour_walk(wide: bool):
+    """Force _search onto its per-colour walk (wide) or leave the width
+    selection as it is."""
+    return mock.patch.object(search, "PACKED_MAX_BITS", 0) if wide else nullcontext()
+
+
+@st.composite
+def walk_sizes(draw):
+    # the exhaustive trees of s <= 3 stay small up to n = 22; from s = 4 on
+    # they do not, so there the order is smaller and the budget bounded
+    s = draw(st.integers(1, 6))
+    if s <= 3:
+        n = draw(st.integers(1, 22))
+        budget = draw(st.one_of(st.sampled_from([None, 0, 1]), st.integers(-3, 20000)))
+    else:
+        n = draw(st.integers(1, 16))
+        budget = draw(st.integers(-3, 20000))
+    return s, n, budget
+
+
 @settings(deadline=None)  # whole trees of up to ~15000 nodes, twice
 @given(
-    s=st.integers(1, 3),
-    n=st.integers(1, 22),
+    size=walk_sizes(),
     no_double=st.booleans(),
     special_first=st.booleans(),
     seed_filters=st.booleans(),
-    budget=st.one_of(st.sampled_from([None, 0, 1]), st.integers(-3, 20000)),
     stop_after=st.one_of(st.none(), st.integers(1, 40)),
+    wide=st.booleans(),
 )
 def test_loop_matches_recursive_reference(
-    s, n, no_double, special_first, seed_filters, budget, stop_after
+    size, no_double, special_first, seed_filters, stop_after, wide
 ):
+    s, n, budget = size
     kwargs = dict(
         s=s,
         n=n,
@@ -406,26 +430,47 @@ def test_loop_matches_recursive_reference(
         budget=budget,
     )
     # _search's special_first also requires every colour to be used
-    assert _walk(_search, stop_after, **kwargs) == _walk(
+    with per_colour_walk(wide):
+        walked = _walk(_search, stop_after, **kwargs)
+    assert walked == _walk(
         _search_reference, stop_after, require_all=special_first, **kwargs
     )
 
 
 def test_loop_matches_recursive_reference_on_every_small_case():
     # the exhaustive corner the property samples thinly: orders where the
-    # every-colour-used prune and the leaf checks decide most outcomes
+    # every-colour-used prune and the leaf checks decide most outcomes,
+    # through both walks
     names = ("no_double", "special_first", "seed_filters")
-    for s, n in product(range(1, 4), range(1, 11)):
+    for s, n, wide in product(range(1, 5), range(1, 11), (False, True)):
         for flags in product((False, True), repeat=3):
             kwargs = dict(zip(names, flags))
-            assert _walk(_search, None, s=s, n=n, **kwargs) == _walk(
+            with per_colour_walk(wide):
+                walked = _walk(_search, None, s=s, n=n, **kwargs)
+            assert walked == _walk(
                 _search_reference,
                 None,
                 s=s,
                 n=n,
                 require_all=kwargs["special_first"],
                 **kwargs,
-            ), (s, n, kwargs)
+            ), (s, n, wide, kwargs)
+
+
+@pytest.mark.parametrize(
+    "s,n,walk",
+    [(4, 1023, "_search_packed"), (4, 1024, "_search_per_colour"),
+     (1, 4095, "_search_packed"), (1, 4096, "_search_per_colour"),
+     (100, 39, "_search_packed"), (100, 40, "_search_per_colour")],
+)
+def test_the_state_width_picks_the_walk(monkeypatch, s, n, walk):
+    # the interleaved state is s * (n + 1) bits wide: up to PACKED_MAX_BITS
+    # the packed walk runs, past it the per-colour one
+    picked = []
+    for name in ("_search_packed", "_search_per_colour"):
+        monkeypatch.setattr(search, name, lambda *args, name=name: picked.append(name))
+    _search(s, n, emit=lambda masks: True)
+    assert picked == [walk]
 
 
 def test_pinned_node_counts():
@@ -447,6 +492,14 @@ def test_pinned_node_counts():
     assert len(emitted) == 2
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_pinned_node_counts_at_four_colours(wide):
+    # the orders search ws --s 4 settles before its budget runs out at 53
+    with per_colour_walk(wide):
+        assert _decide(4, 51)[1] == 5439
+        assert _decide(4, 52)[1] == 5443
+
+
 @pytest.mark.parametrize("budget,nodes", [(0, 0), (1, 1), (5, 5), (-5, 0)])
 def test_budget_cuts_after_exactly_budget_nodes(budget, nodes):
     # the budget is compared with ``>=`` before each placement, so a
@@ -463,6 +516,20 @@ def test_deep_search_has_no_recursion_limit():
     assert isinstance(p, Partition)
     assert (p.s, p.n) == (12, 1500)
     assert verify(p, ConditionSet.condition1()).passed
+
+
+def test_wide_walk_memory_stays_bounded():
+    # s * (n + 1) = 100100 bits is past PACKED_MAX_BITS: the per-colour walk
+    # keeps one colour's masks a level and peaks near 0.3 MB, where the
+    # interleaved state, two s-colour ints a level, peaked near 22 MB
+    tracemalloc.start()
+    try:
+        witness, _ = _decide(100, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is not None
+    assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
 
 
 # --- _partition_from: one mask per colour against the list-based reference --
