@@ -141,8 +141,13 @@ def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
     """
     width = s * (n + 1)
     lane0 = ((1 << width) - 1) // ((1 << s) - 1)  # bit w*s for w = 0..n
-    lanes = {1 << k: lane0 << k for k in range(s)}
-    allowed = [(1 << min(hi + 1, s)) - 1 for hi in range(s + 1)]
+    # no comprehension here reads a local: one that did would turn it into a
+    # closure cell, slower to read in the loop below
+    lanes = {}
+    for k in range(s):
+        lanes[1 << k] = lane0 << k
+    allowed = [(1 << k) - 1 for k in range(1, s + 1)]
+    allowed.append(allowed[-1])  # allowed[hi]: colours 1..min(hi + 1, s)
     rules = [0] * (n + 2)
     if no_double:
         for v in range(5, n // 2 + 1):
@@ -183,8 +188,7 @@ def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
                 Mc = M | b << vs
                 if special_first and (child_hi < s or not Mc & lane0):
                     continue  # a colour, maybe colour 1, is left empty
-                t = format(Mc, fmt)
-                if emit([int(t[i::s], 2) for i in range(s - 1, -1, -1)]):
+                if emit(_colour_masks(format(Mc, fmt), s)):
                     return True, nodes
                 continue
             Sc = (S | adds & lanes[b]) >> s
@@ -208,6 +212,12 @@ def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
         M, S, hi, free, adds = pop()
         v -= 1
         vs -= s
+
+
+def _colour_masks(bits: str, s: int) -> list[int]:
+    """The s colour masks of a leaf, from its ``M`` as one binary string:
+    colour k + 1 has every s-th digit, starting s - 1 - k from the left."""
+    return [int(bits[i::s], 2) for i in range(s - 1, -1, -1)]
 
 
 def _search_per_colour(s, n, no_double, special_first, seed_filters, limit, emit):
