@@ -159,7 +159,7 @@ def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
         banned = {n}
         if seed_filters:
             for v in range(max(1, 5 - GAP), n - GAP + 1):
-                rules[v] |= 1 << GAP * s  # v + GAP in colour 1
+                rules[v] |= 1 << GAP * s  # v + GAP > 4 in colour 1
             banned.update(value for value, _, _ in _seed_rules(n))
         for w in banned:
             if 1 <= w <= n:
@@ -198,7 +198,8 @@ def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
                 continue
             Mc = M | b << vs
             if special_first:
-                short = n - v - s + child_hi  # values left over empty colours 2..s
+                # values still to place, less the colours 2..s still empty
+                short = n - v - s + child_hi
                 if short < 0 or not short and not Mc & lane0:
                     continue
             push((M, S, hi, free, adds))
