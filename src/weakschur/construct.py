@@ -84,8 +84,9 @@ def _seed_rules(n: int) -> list[tuple[int, str, tuple[int, ...]]]:
       sum-free.  Condition 3 cannot see this: a + a = c sums are exactly
       what weak sum-freeness ignores.
 
-    validate_seed reports the rows with MIN_ORDER and GAP; _search prunes
-    subset 1 by the same rows and GAP.
+    validate_seed reports the rows with MIN_ORDER and GAP; the search's
+    rule table (search._walk_rules) bans the same rows and GAP from
+    subset 1.
     """
     rows = [
         (5, "advisory-lookahead", (5, 3 * n - 1)),

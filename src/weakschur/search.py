@@ -12,11 +12,13 @@ or keeps a dirty one shows there.  Values are coloured in the fixed order
 1, 2, ..., n; colour symmetry is broken by first use, and every result is
 deterministic, including node counts.
 
-The walk's state is colour-parallel: one int holds every colour's
-members and one every ban, each walk rule is a ban bit, and a level's
-free colours are a few bits of one int (see ``_search``).  States wider
-than ``PACKED_MAX_BITS`` take a walk with one mask pair per colour, which
-keeps memory bounded; both visit the same nodes in the same order.
+Every prune besides weak sums is a ban stated once, in ``_walk_rules``:
+condition 2's doubles, condition 3's partners and the seed rules.  The
+walk's state is colour-parallel: one int holds every colour's members and
+one every ban, and a level's free colours are a few bits of one int (see
+``_search``).  States wider than ``PACKED_MAX_BITS`` take a walk with one
+members and one bans mask per colour, which keeps memory bounded.  Both
+walks read the same table and visit the same nodes in the same order.
 """
 
 from __future__ import annotations
@@ -89,16 +91,18 @@ def _search(
 
     First-use symmetry breaking: value v may reuse any open colour or open
     the next one.  With ``special_first`` colour 1 is exempt from that
-    ordering (it is pre-opened); it then also enforces the seed-extension
-    rules (no pair in colour 1 may sum to n + 2 and n itself stays out),
-    and every colour, colour 1 included, must end up non-empty.
-    ``seed_filters`` additionally prunes colour 1 by the construction's
-    seed-rule table: no value of a ``_seed_rules(n)`` row, and no pair at
-    distance ``GAP`` whose larger member is above 4.  ``no_double`` keeps
-    2a out of a colour holding a, for a >= 5.  ``emit`` sees each complete
-    assignment as its colour masks (a list of s masks, colour c's at index
-    c - 1, bit v set when value v has colour c; a colour left unused is 0)
-    and returns True to stop the search.
+    ordering (it is pre-opened), and every colour, colour 1 included, must
+    end up non-empty.  A value is placed only in a colour that holds no
+    ban on it: a weak sum of two of the colour's members, or a ban of the
+    walk's rules.  The rules live in one table, ``_walk_rules``, built
+    here once and read by either walk: ``no_double`` keeps 2a out of a
+    colour holding a, for a >= 5; ``special_first`` keeps n, and any
+    partner n + 2 - v of a member, out of colour 1; and ``seed_filters``
+    adds the construction's seed-rule table: the ``_seed_rules(n)`` values
+    and v + GAP above 4 stay out of colour 1 once v is there.  ``emit``
+    sees each complete assignment as its colour masks (a list of s masks,
+    colour c's at index c - 1, bit v set when value v has colour c; a
+    colour left unused is 0) and returns True to stop the search.
 
     The depth-first walk is one loop over an explicit stack, not recursion,
     so its depth is bounded by memory rather than the interpreter's
@@ -108,15 +112,14 @@ def _search(
     colour k + 1 may not take w.  The free colours at v are the low s bits
     of ``~S`` within the open ones, tried lowest first (colour 1, 2, ...),
     and placing v in colour k + 1 ORs the colour's members, shifted by v,
-    into ``S`` and shifts it down one level.  Every rule is a bit of ``S``:
-    a weak sum m + v; under ``no_double`` 2v in v's colour; and for colour
-    1, n + 2 - v and v + GAP, set as v is placed, and n and the seed-rule
-    values, preloaded.  A child that is a leaf (v = n), has no free colour
-    or cannot be completed is counted but not entered.  Each level saves
-    its ``M`` and ``S``, about s*v bits each, so a state wider than
-    ``PACKED_MAX_BITS`` takes ``_search_per_colour`` instead, which keeps
-    one mask pair per colour and saves one colour's pair a level.  Both
-    walks visit the same nodes and emit the same leaves in the same order.
+    and the table's bans for that placement into ``S`` and shifts it down
+    one level; colour 1's fixed bans are preloaded.  A child that is a
+    leaf (v = n), has no free colour or cannot be completed is counted but
+    not entered.  Each level saves its ``M`` and ``S``, about s*v bits
+    each, so a state wider than ``PACKED_MAX_BITS`` takes
+    ``_search_per_colour`` instead, which keeps one mask pair per colour
+    and saves one colour's pair a level.  Both walks visit the same nodes
+    and emit the same leaves in the same order.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -128,16 +131,46 @@ def _search(
         return False, 0  # the root is already dead: s colours need s values
     walk = _search_packed if s * (n + 1) <= PACKED_MAX_BITS else _search_per_colour
     limit = sys.maxsize if budget is None else budget
-    return walk(s, n, no_double, special_first, seed_filters, limit, emit)
+    table, banned = _walk_rules(n, no_double, special_first, seed_filters)
+    return walk(s, n, special_first, table, banned, limit, emit)
 
 
-def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
+def _walk_rules(n, no_double, special_first, seed_filters):
+    """Every ban the walk makes besides weak sums, as (table, banned): the
+    one place its prunes live, read by both walks.  A rule of ``table``,
+    (only1, lo, last, mul, off), says that placing v in a colour, for
+    lo <= v <= last, bans mul*v + off (always above v) from that colour,
+    from colour 1 alone when ``only1`` is set; ``banned`` holds the values
+    in 1..n that colour 1 may never take.  Each rule is five ints whatever
+    n is:
+
+    * condition 2 (``no_double``): 2v in v's colour, for v >= 5;
+    * condition 3 (``special_first``): n + 2 - v in colour 1, and n;
+    * the seed-rule table (``seed_filters``): v + GAP in colour 1 when it
+      is above 4, and the ``_seed_rules(n)`` values.
+    """
+    table = []
+    if no_double:
+        table.append((False, 5, n // 2, 2, 0))
+    banned = set()
+    if special_first:
+        table.append((True, 2, (n + 1) // 2, -1, n + 2))
+        banned.add(n)
+        if seed_filters:
+            table.append((True, max(1, 5 - GAP), n - GAP, 1, GAP))
+            banned.update(w for w, _, _ in _seed_rules(n) if 1 <= w <= n)
+    return table, banned
+
+
+def _search_packed(s, n, special_first, table, banned, limit, emit):
     """_search's walk with all s colours interleaved in two ints, ``M``
     and ``S`` (see ``_search``).  ``lanes`` maps colour k + 1's bit to the
     bits w*s + k for every w, so placing v there is
     ``S' = (S | adds & lanes[b]) >> s`` with ``adds = M | rules[v]``:
-    ``rules[v]`` holds the bans placing v makes besides weak sums, at their
-    offsets from v.  Each level saves one (M, S, hi, free, adds) tuple.
+    ``rules[v]`` holds the bans ``table`` makes for a placement of v, in
+    every colour's lane or in colour 1's, at their offsets from v, and
+    ``S`` starts with colour 1's ``banned`` values.  Each level saves one
+    (M, S, hi, free, adds) tuple.
     """
     width = s * (n + 1)
     lane0 = ((1 << width) - 1) // ((1 << s) - 1)  # bit w*s for w = 0..n
@@ -149,21 +182,12 @@ def _search_packed(s, n, no_double, special_first, seed_filters, limit, emit):
     allowed = [(1 << k) - 1 for k in range(1, s + 1)]
     allowed.append(allowed[-1])  # allowed[hi]: colours 1..min(hi + 1, s)
     rules = [0] * (n + 2)
-    if no_double:
-        for v in range(5, n // 2 + 1):
-            rules[v] = allowed[s] << v * s  # 2v, relative to v
+    for only1, lo, last, mul, off in table:
+        for v in range(lo, last + 1):
+            rules[v] |= (1 if only1 else allowed[s]) << (mul * v + off - v) * s
     S = 0
-    if special_first:
-        for v in range(2, (n + 1) // 2 + 1):
-            rules[v] |= 1 << (n + 2 - 2 * v) * s  # n + 2 - v in colour 1
-        banned = {n}
-        if seed_filters:
-            for v in range(max(1, 5 - GAP), n - GAP + 1):
-                rules[v] |= 1 << GAP * s  # v + GAP > 4 in colour 1
-            banned.update(value for value, _, _ in _seed_rules(n))
-        for w in banned:
-            if 1 <= w <= n:
-                S |= 1 << (w - 1) * s  # w in colour 1, relative to value 1
+    for w in banned:
+        S |= 1 << (w - 1) * s  # w in colour 1, relative to value 1
     fmt = f"0{width}b"
     stack = []
     push = stack.append
@@ -221,25 +245,26 @@ def _colour_masks(bits: str, s: int) -> list[int]:
     return [int(bits[i::s], 2) for i in range(s - 1, -1, -1)]
 
 
-def _search_per_colour(s, n, no_double, special_first, seed_filters, limit, emit):
-    """_search's walk with one ``members`` and one ``sums`` mask per colour:
-    ``sums[c]`` has bit v set when some a < b in colour c have a + b = v.
-    Level v keeps, in per-level arrays, the colour placed there
-    (``colour_of``), the highest colour open before it (``hi_at``) and that
-    colour's two masks before the placement, about 2*v bits, so this is
-    the walk for states too wide for ``_search_packed``.
+def _search_per_colour(s, n, special_first, table, banned, limit, emit):
+    """_search's walk with one ``members`` and one ``bans`` mask per colour:
+    ``bans[c]`` has bit w set when colour c may not take w, a weak sum
+    a + b of members a < b or a ban of ``table``, and colour 1's starts
+    with the ``banned`` values.  A placement's bans are added only when
+    the walk goes on to the next value: a leaf or a child that cannot be
+    completed never reads them.  Level v keeps, in per-level arrays, the
+    colour placed there (``colour_of``), the highest colour open before it
+    (``hi_at``) and that colour's two masks before the placement, about
+    2*v bits (colour 1's bans are n bits from the start), so this is the
+    walk for states too wide for ``_search_packed``.
     """
     members = [0] * (s + 1)
-    sums = [0] * (s + 1)
+    bans = [0] * (s + 1)
+    bans[1] = sum(1 << w for w in banned)
     colour_of = [0] * (n + 1)
     hi_at = [0] * (n + 1)
     saved_members = [0] * (n + 1)
-    saved_sums = [0] * (n + 1)
+    saved_bans = [0] * (n + 1)
     nodes = 0
-    target = n + 2  # forbidden pair-sum inside the designated first subset
-    banned_first = frozenset()
-    if seed_filters:
-        banned_first = frozenset(value for value, _, _ in _seed_rules(n))
 
     v, c = 1, 1
     hi = 1 if special_first else 0
@@ -247,31 +272,16 @@ def _search_per_colour(s, n, no_double, special_first, seed_filters, limit, emit
         # scan level v from colour c; hi and the masks are as on entry to v
         bit = 1 << v
         top = hi + 1 if hi < s else s
-        half = 1 << (v >> 1) if no_double and not v & 1 and v > 9 else 0
         while c <= top:
-            sc = sums[c]
-            if sc & bit:
-                c += 1
-                continue
-            mc = members[c]
-            if (half and mc & half) or (
-                special_first
-                and c == 1
-                and (
-                    v == n
-                    or (mc >> (target - v)) & 1
-                    or v in banned_first
-                    or (seed_filters and v > 4 and (mc >> (v - GAP)) & 1)
-                )
-            ):
+            bc = bans[c]
+            if bc & bit:
                 c += 1
                 continue
             if nodes >= limit:
                 raise SearchBudgetExceeded(nodes)
             nodes += 1
+            mc = members[c]
             members[c] = mc | bit
-            sums[c] = sc | (mc << v)
-            colour_of[v] = c
             child_hi = c if c > hi else hi
             if v == n:
                 if not (
@@ -283,7 +293,6 @@ def _search_per_colour(s, n, no_double, special_first, seed_filters, limit, emit
             ):
                 break
             members[c] = mc
-            sums[c] = sc
             c += 1
         else:
             # every colour at v tried: undo the placement at v - 1
@@ -292,12 +301,18 @@ def _search_per_colour(s, n, no_double, special_first, seed_filters, limit, emit
                 return False, nodes
             c = colour_of[v]
             members[c] = saved_members[v]
-            sums[c] = saved_sums[v]
+            bans[c] = saved_bans[v]
             hi = hi_at[v]
             c += 1
             continue
+        colour_of[v] = c
         saved_members[v] = mc
-        saved_sums[v] = sc
+        saved_bans[v] = bc
+        bans[c] = bc | mc << v
+        if table:  # a walk without rules pays nothing for them
+            for only1, lo, last, mul, off in table:
+                if lo <= v <= last and (c == 1 or not only1):
+                    bans[c] |= 1 << mul * v + off
         hi_at[v] = hi
         hi = child_hi
         v += 1
@@ -346,6 +361,8 @@ def decide(
     Returns a witness Partition or None for proven infeasibility; raises
     SearchBudgetExceeded when the node budget runs out first, which is a
     different statement entirely.  Deterministic for fixed arguments.
+    The walk always enforces condition 1, so constraints without it are a
+    ValueError: a None would claim infeasibility the walk never tested.
     """
     witness, _ = _decide(s, n, constraints, budget=budget)
     return witness
@@ -360,9 +377,11 @@ def _decide(
 ) -> tuple[Optional[Partition], int]:
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
+    constraints = constraints if constraints is not None else ConditionSet.condition1()
+    if not constraints.weak_sum_free:
+        raise ValueError("the search always enforces condition 1 (weak sum-freeness)")
     if n < s:
         return None, 0  # s non-empty subsets need at least s integers
-    constraints = constraints if constraints is not None else ConditionSet.condition1()
     found: list[list[int]] = []
 
     def emit(masks: list[int]) -> bool:
@@ -440,12 +459,10 @@ def find_seeds(
 
     * condition 1: a value is placed only in a colour with no weak-sum ban
       on it;
-    * condition 2: ``no_double`` keeps an even v > 9 out of the colour
-      holding v/2;
-    * condition 3: n stays out of colour 1, and so does any v whose
-      partner n+2-v is already there;
-    * the ``_seed_rules(n)`` rows: ``seed_filters`` bans their values from
-      colour 1, and any v > 4 whose v - GAP is already there;
+    * conditions 2 and 3 and the ``_seed_rules(n)`` rows: the bans of the
+      walk's one rule table, ``_walk_rules`` with every rule switched on
+      (doubles above 4 in a colour, n and the partner n+2-v in colour 1,
+      the rows' values and v + GAP above 4 in colour 1);
     * well-formedness: each value is placed once, and a leaf must use
       every colour;
     * orders up to MIN_ORDER cannot pass validate_seed cleanly and yield

@@ -352,9 +352,10 @@ def _verify(
     unsorted but for first_only, which keeps the smallest; verify sorts
     them into its report, and validate_seed adds the seed rules to the
     list before it builds its own.  Well-formedness runs first, and the
-    condition checks only ever see a well-formed p."""
+    condition checks only ever see a well-formed p; a p whose validate()
+    has passed is not checked again."""
     checked = {LABEL_WELL_FORMED}
-    out = well_formed_violations(p)
+    out = [] if p._valid else well_formed_violations(p)
     if out:
         return out[:1] if first_only else out, checked  # already sorted
     s1_weak = None

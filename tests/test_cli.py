@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from weakschur import bound, parse_partition, partition
+from weakschur import Partition, bound, parse_partition, partition, verifier, verify
+from weakschur.intset import IntSet
 from weakschur.cli import MAX_BOUND_S, MAX_GENERATE_ORDER, MAX_SEARCH_ORDER, main
 
 from conftest import BASE_TEXT, GOLDEN_DIR
@@ -384,6 +385,29 @@ def test_search_seeds_checks_each_seed_once(capsys, monkeypatch):
                        "--limit", "50", "--json")
     assert (code, json.loads(out)["found"]) == (0, 50)
     assert len(calls) == 50 == len({id(p) for p in calls})
+
+
+def test_verify_checks_a_parsed_partition_once(capsys, monkeypatch):
+    # parse_partition validates what it reads, and a Partition remembers a
+    # passed check, so verify does not run the structural check again
+    calls = []
+    check = partition.well_formed_violations
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(partition, "well_formed_violations", counted)
+    monkeypatch.setattr(verifier, "well_formed_violations", counted)
+    code, _, _ = run(capsys, "verify", str(GOLDEN_DIR / "chain_5_185.wsp"))
+    assert code == 0
+    assert [p.n for p in calls] == [185]
+    # a partition that was never validated is still checked by verify
+    broken = Partition((IntSet([1, 2]), IntSet([2, 3])), 3)
+    report = verify(broken)
+    assert calls[1:] == [broken]
+    assert report.checked_conditions == frozenset({"well-formed"})
+    assert "not-a-partition" in {v.kind for v in report.violations}
 
 
 def test_search_seeds_none_found(capsys):

@@ -25,7 +25,7 @@ from weakschur import (
     weak_violations_naive,
 )
 from weakschur import search
-from weakschur.search import _decide, _partition_from, _search
+from weakschur.search import DEFAULT_BUDGET, _decide, _partition_from, _search
 
 
 def weakly_sum_free(elems):
@@ -64,6 +64,17 @@ def test_decide_rejects_bad_arguments():
         decide(0, 5)
     with pytest.raises(ValueError):
         decide(2, 0)
+
+
+@pytest.mark.parametrize("s,n", [(1, 3), (3, 2)])
+def test_decide_refuses_constraints_without_condition_1(s, n):
+    # the walk always enforces condition 1: {1, 2, 3} passes verify under
+    # these conditions, so a None from decide(1, 3) claimed infeasibility
+    # that was never tested
+    constraints = ConditionSet(weak_sum_free=False, no_double=True, seed_extension=False)
+    assert verify(Partition.from_subsets([[1, 2, 3]]), constraints).passed
+    with pytest.raises(ValueError, match="condition 1"):
+        decide(s, n, constraints)
 
 
 def test_decide_infeasible_below_subset_count():
@@ -473,6 +484,33 @@ def test_the_state_width_picks_the_walk(monkeypatch, s, n, walk):
     assert picked == [walk]
 
 
+def packed_walk():
+    """Lift the width limit so the colour-parallel walk also runs states
+    of up to 2^14 bits, which the default limit sends to the per-colour
+    walk."""
+    return mock.patch.object(search, "PACKED_MAX_BITS", 1 << 14)
+
+
+def test_the_walks_agree_on_a_wide_seed_walk():
+    # s * (n + 1) = 4812 bits: past the default limit, so by default only
+    # the per-colour walk runs this; the two read the same rule table
+    kwargs = dict(s=12, n=400, no_double=True, special_first=True, seed_filters=True)
+    with packed_walk():
+        packed = _walk(_search, 200, **kwargs)
+    with per_colour_walk(True):
+        assert _walk(_search, 200, **kwargs) == packed
+    assert packed[0][0] is True and len(packed[1]) == 200
+
+
+def test_the_walks_agree_on_a_wide_scan():
+    # 100 colours: every order up to 150 is s * (n + 1) <= 15100 bits
+    with packed_walk():
+        packed = compute_ws(100, 150)
+    with per_colour_walk(True):
+        assert compute_ws(100, 150) == packed
+    assert (packed.best_n, packed.nodes_visited) == (150, 6375)
+
+
 def test_pinned_node_counts():
     assert compute_ws(3, 100).nodes_visited == 22610
     no_double = ConditionSet(weak_sum_free=True, no_double=True, seed_extension=False)
@@ -529,6 +567,28 @@ def test_wide_walk_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert witness is not None
+    assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "s,n,limit,budget",
+    [(12, 2000, 5, DEFAULT_BUDGET), (4, 20000, 1, 10**4)],
+)
+def test_wide_seed_walk_memory_stays_bounded(s, n, limit, budget):
+    # colour 1's bans are n bits wide from the first level (n and the
+    # seed-rule values are preloaded), so a level that saves them holds n
+    # bits: the walk to 2000 levels peaks near 1 MB, and the walk that
+    # never gets deep near 0.7 MB, where a ban mask made up front for every
+    # value would take about n*n bits (44 MB at n = 20000)
+    tracemalloc.start()
+    try:
+        try:
+            find_seeds(s, n, limit, budget=budget)
+        except SearchBudgetExceeded:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
 
 
