@@ -244,12 +244,19 @@ class Partition:
         return p
 
     def validate(self) -> None:
-        if self._valid:
-            return
-        vios = well_formed_violations(self)
+        vios = self.structural_violations()
         if vios:
             raise InvalidPartitionError(vios)
-        object.__setattr__(self, "_valid", True)
+
+    def structural_violations(self) -> list[Violation]:
+        """well_formed_violations(self), run until it first comes back
+        empty; after that the remembered pass answers []."""
+        if self._valid:
+            return []
+        vios = well_formed_violations(self)
+        if not vios:
+            object.__setattr__(self, "_valid", True)
+        return vios
 
     def __repr__(self) -> str:
         return f"Partition(s={self.s}, n={self.n})"

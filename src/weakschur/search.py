@@ -248,18 +248,25 @@ def _colour_masks(bits: str, s: int) -> list[int]:
 def _search_per_colour(s, n, special_first, table, banned, limit, emit):
     """_search's walk with one ``members`` and one ``bans`` mask per colour:
     ``bans[c]`` has bit w set when colour c may not take w, a weak sum
-    a + b of members a < b or a ban of ``table``, and colour 1's starts
-    with the ``banned`` values.  A placement's bans are added only when
-    the walk goes on to the next value: a leaf or a child that cannot be
-    completed never reads them.  Level v keeps, in per-level arrays, the
-    colour placed there (``colour_of``), the highest colour open before it
-    (``hi_at``) and that colour's two masks before the placement, about
-    2*v bits (colour 1's bans are n bits from the start), so this is the
-    walk for states too wide for ``_search_packed``.
+    a + b of members a < b or a ban of the walk's rules.  A placement adds
+    its weak sums only when the walk goes on to the next value: a leaf or
+    a child that cannot be completed never reads them.  The rules' bans on
+    a value are added when the walk enters its level, read back from the
+    values that make them: a rule's ban on w comes from (w - off) / mul,
+    whose colour is in ``colour_of`` (a colour-1 rule is skipped when
+    colour 1 already may not take w), and a value of ``banned`` bans
+    colour 1.  So a mask holds no ban far above its level, however far
+    ahead a rule bans (n + 2 - v lands near n while v is small).  Such a
+    ban needs no undo: it leaves with the first restored mask saved before
+    it was added, at the latest the one saved when its source was placed,
+    and a return to its level from deeper ones restores only masks saved
+    after it.  Level v keeps, in per-level arrays, the colour placed there
+    (``colour_of``), the highest colour open before it (``hi_at``) and
+    that colour's two masks before the placement, about 2*v bits, so this
+    is the walk for states too wide for ``_search_packed``.
     """
     members = [0] * (s + 1)
     bans = [0] * (s + 1)
-    bans[1] = sum(1 << w for w in banned)
     colour_of = [0] * (n + 1)
     hi_at = [0] * (n + 1)
     saved_members = [0] * (n + 1)
@@ -272,6 +279,17 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
         # scan level v from colour c; hi and the masks are as on entry to v
         bit = 1 << v
         top = hi + 1 if hi < s else s
+        if table and c == 1:  # entering v, in a walk with rules
+            for only1, lo, last, mul, off in table:
+                if only1 and bans[1] & bit:
+                    continue  # colour 1 may not take v already
+                u = (v - off) // mul  # the value whose placement bans v
+                if lo <= u <= last and mul * u + off == v:
+                    k = colour_of[u]
+                    if k == 1 or not only1:
+                        bans[k] |= bit
+            if v in banned:
+                bans[1] |= bit
         while c <= top:
             bc = bans[c]
             if bc & bit:
@@ -309,10 +327,6 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
         saved_members[v] = mc
         saved_bans[v] = bc
         bans[c] = bc | mc << v
-        if table:  # a walk without rules pays nothing for them
-            for only1, lo, last, mul, off in table:
-                if lo <= v <= last and (c == 1 or not only1):
-                    bans[c] |= 1 << mul * v + off
         hi_at[v] = hi
         hi = child_hi
         v += 1

@@ -17,7 +17,6 @@ from .partition import (
     Violation,
     ViolationReport,
     violation_key,
-    well_formed_violations,
 )
 
 LABEL_WELL_FORMED = "well-formed"
@@ -352,10 +351,10 @@ def _verify(
     unsorted but for first_only, which keeps the smallest; verify sorts
     them into its report, and validate_seed adds the seed rules to the
     list before it builds its own.  Well-formedness runs first, and the
-    condition checks only ever see a well-formed p; a p whose validate()
-    has passed is not checked again."""
+    condition checks only ever see a well-formed p; a p that has passed
+    that check once is not checked again."""
     checked = {LABEL_WELL_FORMED}
-    out = [] if p._valid else well_formed_violations(p)
+    out = p.structural_violations()
     if out:
         return out[:1] if first_only else out, checked  # already sorted
     s1_weak = None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from weakschur import Partition, bound, parse_partition, partition, verifier, verify
+from weakschur import Partition, bound, parse_partition, partition, verify
 from weakschur.intset import IntSet
 from weakschur.cli import MAX_BOUND_S, MAX_GENERATE_ORDER, MAX_SEARCH_ORDER, main
 
@@ -398,7 +398,6 @@ def test_verify_checks_a_parsed_partition_once(capsys, monkeypatch):
         return check(p)
 
     monkeypatch.setattr(partition, "well_formed_violations", counted)
-    monkeypatch.setattr(verifier, "well_formed_violations", counted)
     code, _, _ = run(capsys, "verify", str(GOLDEN_DIR / "chain_5_185.wsp"))
     assert code == 0
     assert [p.n for p in calls] == [185]
@@ -408,6 +407,10 @@ def test_verify_checks_a_parsed_partition_once(capsys, monkeypatch):
     assert calls[1:] == [broken]
     assert report.checked_conditions == frozenset({"well-formed"})
     assert "not-a-partition" in {v.kind for v in report.violations}
+    # and one that passes there is not checked again by a second verify
+    fresh = Partition((IntSet([1]), IntSet([2])), 2)
+    assert verify(fresh).passed and verify(fresh).passed
+    assert calls[2:] == [fresh]
 
 
 def test_search_seeds_none_found(capsys):
