@@ -28,25 +28,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__
-from .construct import (
-    LITERATURE_ORDERS,
-    SeedConditionError,
-    _require_seed,
-    base_partition,
-    bound,
-    bound_table,
-    iterate,
-)
-from .partition import (
-    WSP_FORMAT_VERSION,
-    WspFormatError,
-    parse_partition,
-    serialize_partition,
-    serialize_partitions,
-)
-from .search import DEFAULT_BUDGET, SearchBudgetExceeded, compute_ws, find_seeds
-from .verifier import ConditionSet, verify
+from . import DEFAULT_BUDGET, WSP_FORMAT_VERSION, __version__
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -81,7 +63,9 @@ def _threads(value: str) -> str:
     return value
 
 
-def _conditions(value: str) -> ConditionSet:
+def _conditions(value: str):
+    from .verifier import ConditionSet
+
     try:
         return ConditionSet.from_labels(value)
     except ValueError as e:
@@ -118,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--conditions",
         type=_conditions,
-        default=ConditionSet.all(),
+        default="all",  # argparse passes a string default through _conditions
         metavar="1,2,3|all",
         help="which conditions to check (default: all)",
     )
@@ -184,6 +168,8 @@ def _info(args, message: str) -> None:
 
 def _read_partition(args, path: str):
     """Parse a .wsp file, or fail with exit 2."""
+    from .partition import WspFormatError, parse_partition
+
     try:
         with open(path, encoding="ascii") as fh:
             return parse_partition(fh)
@@ -228,6 +214,8 @@ def _print_json(doc: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import verify
+
     p = _read_partition(args, args.file)
     report = verify(p, args.conditions, first_only=args.first_only)
     if args.json:
@@ -243,6 +231,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .construct import SeedConditionError, _require_seed, base_partition, iterate
+    from .partition import serialize_partition
+
     seed = _read_partition(args, args.seed) if args.seed else base_partition()
     steps = args.s - seed.s
     if steps < 0:
@@ -297,6 +288,8 @@ def _check_cap(args, flag: str, value: int, cap: int, field: str) -> None:
 
 
 def _cmd_bound(args) -> int:
+    from .construct import bound
+
     _check_cap(args, "--s", args.s, MAX_BOUND_S, "max_s")
     try:
         value = bound(args.s)
@@ -310,6 +303,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .construct import LITERATURE_ORDERS, bound_table
+
     _check_cap(args, "--max-s", args.max_s, MAX_BOUND_S, "max_s")
     try:
         seq = bound_table(args.max_s)
@@ -343,6 +338,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search_ws(args) -> int:
+    from .partition import serialize_partition
+    from .search import compute_ws
+
     # every order the scan visits is at least s
     _check_cap(args, "--s", args.s, MAX_SEARCH_ORDER, "max_order")
     try:
@@ -365,6 +363,9 @@ def _cmd_search_ws(args) -> int:
 
 
 def _cmd_search_seeds(args) -> int:
+    from .partition import serialize_partitions
+    from .search import SearchBudgetExceeded, find_seeds
+
     _check_cap(args, "--n", args.n, MAX_SEARCH_ORDER, "max_order")
     if args.limit < 1:  # no search would run, so "found 0" would say nothing
         _fail(args, EXIT_USAGE, f"--limit must be >= 1, got {args.limit}")

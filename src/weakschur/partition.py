@@ -23,9 +23,8 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, NamedTuple, Optional
 
+from . import WSP_FORMAT_VERSION
 from .intset import IntSet, bit_positions, run_bounds
-
-WSP_FORMAT_VERSION = 1
 
 
 class WspFormatError(ValueError):

@@ -27,13 +27,11 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import DEFAULT_BUDGET
 from .construct import GAP, MIN_ORDER, _seed_rules
 from .intset import IntSet
 from .partition import Partition
 from .verifier import ConditionSet
-
-#: node budget applied when the caller does not choose one
-DEFAULT_BUDGET = 100_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -262,14 +260,14 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
     and a return to its level from deeper ones restores only masks saved
     after it.  Level v keeps, in per-level arrays, the colour placed there
     (``colour_of``), the highest colour open before it (``hi_at``) and
-    that colour's two masks before the placement, about 2*v bits, so this
-    is the walk for states too wide for ``_search_packed``.
+    that colour's bans mask before the placement, about 2*v bits, so this
+    is the walk for states too wide for ``_search_packed``.  Its members
+    mask needs no copy: backtracking clears the one bit placed there.
     """
     members = [0] * (s + 1)
     bans = [0] * (s + 1)
     colour_of = [0] * (n + 1)
     hi_at = [0] * (n + 1)
-    saved_members = [0] * (n + 1)
     saved_bans = [0] * (n + 1)
     nodes = 0
 
@@ -318,13 +316,12 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
             if not v:
                 return False, nodes
             c = colour_of[v]
-            members[c] = saved_members[v]
+            members[c] ^= 1 << v
             bans[c] = saved_bans[v]
             hi = hi_at[v]
             c += 1
             continue
         colour_of[v] = c
-        saved_members[v] = mc
         saved_bans[v] = bc
         bans[c] = bc | mc << v
         hi_at[v] = hi

@@ -558,7 +558,7 @@ def test_deep_search_has_no_recursion_limit():
 
 def test_wide_walk_memory_stays_bounded():
     # s * (n + 1) = 100100 bits is past PACKED_MAX_BITS: the per-colour walk
-    # keeps one colour's masks a level and peaks near 0.3 MB, where the
+    # keeps one colour's bans mask a level and peaks near 0.2 MB, where the
     # interleaved state, two s-colour ints a level, peaked near 22 MB
     tracemalloc.start()
     try:
@@ -576,17 +576,21 @@ def test_wide_walk_memory_stays_bounded():
         (12, 2000, 5, DEFAULT_BUDGET, 2e6),
         (4, 20000, 1, 10**4, 2e6),
         (12, 50000, 1, 3000, 4.5e6),
+        (12, 8000, 1, DEFAULT_BUDGET, 11e6),
     ],
 )
 def test_wide_seed_walk_memory_stays_bounded(s, n, limit, budget, bound):
     # the per-colour walk adds a rule's ban on w when it reaches w, so no
     # mask holds a ban far above its level: the walk to 2000 levels peaks
-    # near 1 MB, the one that never gets deep near 0.65 MB, and the one
-    # 3000 nodes into n = 50000 near 3.6 MB.  Bans written when their
+    # near 0.65 MB, the one that never gets deep near 0.5 MB, and the one
+    # 3000 nodes into n = 50000 near 2.5 MB.  Bans written when their
     # source is placed (n and n + 2 - v in colour 1) made colour 1's mask n
-    # bits wide at every level that saved it: 7.4 MB on the last walk.  A
-    # ban mask made up front for every value would take about n*n bits
-    # (44 MB at n = 20000)
+    # bits wide at every level that saved it: 7.4 MB on that walk.  A ban
+    # mask made up front for every value would take about n*n bits (44 MB
+    # at n = 20000).  The dive straight to a leaf at n = 8000 peaks near
+    # 8.9 MB: a level saves one colour's bans mask, about 2v bits, and
+    # backtracking clears the placed bit of its members mask; saving that
+    # mask too peaked at 13.5 MB
     tracemalloc.start()
     try:
         try:
