@@ -80,38 +80,5 @@ def __dir__():
     return sorted(globals().keys() | _EXPORTS.keys())
 
 
-__all__ = [
-    "BoundSequence",
-    "ConditionSet",
-    "ConstructionTrace",
-    "DEFAULT_BUDGET",
-    "IntSet",
-    "InvalidPartitionError",
-    "LITERATURE_ORDERS",
-    "Partition",
-    "SearchBudgetExceeded",
-    "SearchResult",
-    "SeedConditionError",
-    "Violation",
-    "ViolationReport",
-    "WspFormatError",
-    "base_partition",
-    "bound",
-    "bound_table",
-    "compute_ws",
-    "condition2_violations",
-    "condition3_violations",
-    "construct_step",
-    "decide",
-    "find_seeds",
-    "iterate",
-    "parse_partition",
-    "serialize_partition",
-    "serialize_partitions",
-    "strong_violations",
-    "validate_seed",
-    "verify",
-    "weak_violations",
-    "weak_violations_naive",
-    "well_formed_violations",
-]
+#: the export table's names and the one export defined here
+__all__ = sorted([*_EXPORTS, "DEFAULT_BUDGET"])

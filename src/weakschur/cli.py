@@ -25,10 +25,12 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from . import DEFAULT_BUDGET, WSP_FORMAT_VERSION, __version__
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -43,8 +45,9 @@ MAX_GENERATE_ORDER = 10**7
 #: s = 9013 has 4301 digits, past CPython's default int-to-str limit of 4300
 MAX_BOUND_S = 9012
 #: ``search`` refuses an order (or, for ``ws``, a subset count) past this
-#: before it starts: the walk sizes its per-level lists by both, and at
-#: 10^6 they already take up to 48 MB
+#: before it starts: the walk sizes its lists by both (``members`` and
+#: ``bans`` by s, ``colour_of`` and ``saved_bans`` by n), and at 10^6 each
+#: takes 8 MB, so the four already take 32 MB
 MAX_SEARCH_ORDER = 10**6
 #: stdout texts go out in pieces of at most this many characters; see
 #: _write_stdout
@@ -184,6 +187,8 @@ def _read_partition(args, path: str):
 def _write_files(args, files, out_dir: Path | None = None) -> None:
     """Create out_dir (when given) and write each (path, text) pair, or
     fail with exit 2 naming the path that could not be written."""
+    from pathlib import Path
+
     path = out_dir
     try:
         if out_dir is not None:
@@ -378,6 +383,8 @@ def _cmd_search_seeds(args) -> int:
     texts = serialize_partitions(seeds)
     paths = []
     if args.out_dir:
+        from pathlib import Path
+
         out_dir = Path(args.out_dir)
         paths = [str(out_dir / f"seed_{k:04d}.wsp") for k in range(1, len(seeds) + 1)]
         _write_files(args, zip(paths, texts), out_dir)

@@ -56,8 +56,12 @@ class SearchResult:
     mode: str
     best_n: int
     witness: Optional[Partition]
-    exhausted: bool
     nodes_visited: int
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether the scan exhausted the tree at best_n + 1: mode is "exact"."""
+        return self.mode == "exact"
 
     def as_json(self) -> dict:
         return {
@@ -259,20 +263,22 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
     it was added, at the latest the one saved when its source was placed,
     and a return to its level from deeper ones restores only masks saved
     after it.  Level v keeps, in per-level arrays, the colour placed there
-    (``colour_of``), the highest colour open before it (``hi_at``) and
-    that colour's bans mask before the placement, about 2*v bits, so this
-    is the walk for states too wide for ``_search_packed``.  Its members
-    mask needs no copy: backtracking clears the one bit placed there.
+    (``colour_of``) and that colour's bans mask before the placement, about
+    2*v bits, so this is the walk for states too wide for
+    ``_search_packed``.  Its members mask needs no copy: backtracking
+    clears the one bit placed there.  Nor does the highest open colour,
+    ``hi``: by first-use order, a placement that leaves its colour empty
+    when undone is the one that opened it, so ``hi`` falls back below that
+    colour; otherwise ``hi`` is as it was (a pre-opened colour 1 aside).
     """
     members = [0] * (s + 1)
     bans = [0] * (s + 1)
     colour_of = [0] * (n + 1)
-    hi_at = [0] * (n + 1)
     saved_bans = [0] * (n + 1)
     nodes = 0
 
     v, c = 1, 1
-    hi = 1 if special_first else 0
+    hi = first = 1 if special_first else 0  # colours 1..first start open
     while True:
         # scan level v from colour c; hi and the masks are as on entry to v
         bit = 1 << v
@@ -318,13 +324,13 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
             c = colour_of[v]
             members[c] ^= 1 << v
             bans[c] = saved_bans[v]
-            hi = hi_at[v]
+            if c > first and not members[c]:
+                hi = c - 1  # the placement at v opened colour c
             c += 1
             continue
         colour_of[v] = c
         saved_bans[v] = bc
         bans[c] = bc | mc << v
-        hi_at[v] = hi
         hi = child_hi
         v += 1
         c = 1
@@ -431,7 +437,6 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
     witness: Optional[Partition] = None
     nodes_total = 0
     mode = "capped"
-    exhausted = False
     for n in range(s, cap + 1):
         try:
             w, nodes = _decide(s, n, budget=budget - nodes_total)
@@ -441,7 +446,6 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
         nodes_total += nodes
         if w is None:
             mode = "exact"
-            exhausted = True
             break
         best_n, witness = n, w
     return SearchResult(
@@ -449,7 +453,6 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
         mode=mode,
         best_n=best_n,
         witness=witness,
-        exhausted=exhausted,
         nodes_visited=nodes_total,
     )
 

@@ -23,7 +23,7 @@ PACKAGE_LEVEL = {"DEFAULT_BUDGET": "search"}
 
 
 def test_every_export_is_its_submodules_object():
-    assert set(weakschur._EXPORTS) | set(PACKAGE_LEVEL) == set(weakschur.__all__)
+    assert weakschur.__all__ == sorted(set(weakschur.__all__))  # sorted, no repeats
     for name in weakschur.__all__:
         module = weakschur._EXPORTS.get(name) or PACKAGE_LEVEL[name]
         submodule = importlib.import_module(f"weakschur.{module}")
@@ -59,18 +59,32 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+def probe(argv, *flags):
+    """Run ``main(argv)`` in a fresh interpreter started with ``flags``;
+    return its exit code and the modules loaded after it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
 def loaded_by(argv):
     """Run ``main(argv)`` in a fresh interpreter; return its exit code, the
     ``weakschur`` submodules loaded after it, and whether ``dataclasses``
     was."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules = probe(argv)
     ours = {m.removeprefix("weakschur.") for m in modules if m.startswith("weakschur.")}
     return code, ours, "dataclasses" in modules
+
+
+@pytest.fixture
+def base_file(tmp_path):
+    f = tmp_path / "base.wsp"
+    f.write_text(weakschur.serialize_partition(weakschur.base_partition()), encoding="ascii")
+    return f
 
 
 @pytest.mark.parametrize(
@@ -87,10 +101,16 @@ def test_parser_alone_loads_no_library(argv, code):
     assert loaded_by(argv) == (code, {"cli"}, False)
 
 
-def test_verify_loads_no_construction_or_search(tmp_path):
-    f = tmp_path / "base.wsp"
-    f.write_text(weakschur.serialize_partition(weakschur.base_partition()), encoding="ascii")
-    assert loaded_by(["verify", str(f)]) == (0, {"cli", "intset", "partition", "verifier"}, True)
+def test_verify_loads_no_construction_or_search(base_file):
+    assert loaded_by(["verify", str(base_file)]) == (
+        0, {"cli", "intset", "partition", "verifier"}, True)
+
+
+def test_only_file_writes_load_pathlib(base_file):
+    # under -S no site hook (a .pth file, say) has loaded pathlib already
+    for argv in (["--version"], ["verify", "--help"], ["verify", str(base_file)]):
+        code, modules = probe(argv, "-S")
+        assert (code, "pathlib" in modules) == (0, False), argv
 
 
 @pytest.mark.parametrize("argv", [["generate", "--s", "4"], ["bound", "--s", "6"],

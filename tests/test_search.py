@@ -511,21 +511,23 @@ def test_the_walks_agree_on_a_wide_scan():
     assert (packed.best_n, packed.nodes_visited) == (150, 6375)
 
 
-def test_pinned_node_counts():
-    assert compute_ws(3, 100).nodes_visited == 22610
+@pytest.mark.parametrize("wide", [False, True])
+def test_pinned_node_counts(wide):
     no_double = ConditionSet(weak_sum_free=True, no_double=True, seed_extension=False)
-    assert _decide(3, 23, ConditionSet.condition1())[1] == 954
-    assert _decide(3, 23, no_double)[1] == 5772
-    assert _decide(3, 23, ConditionSet.all())[1] == 15127
-    outcome, emitted = _walk(
-        _search,
-        None,
-        s=3,
-        n=21,
-        no_double=True,
-        special_first=True,
-        seed_filters=True,
-    )
+    with per_colour_walk(wide):
+        assert compute_ws(3, 100).nodes_visited == 22610
+        assert _decide(3, 23, ConditionSet.condition1())[1] == 954
+        assert _decide(3, 23, no_double)[1] == 5772
+        assert _decide(3, 23, ConditionSet.all())[1] == 15127
+        outcome, emitted = _walk(
+            _search,
+            None,
+            s=3,
+            n=21,
+            no_double=True,
+            special_first=True,
+            seed_filters=True,
+        )
     assert outcome == (False, 4028)
     assert len(emitted) == 2
 
@@ -582,8 +584,8 @@ def test_wide_walk_memory_stays_bounded():
 def test_wide_seed_walk_memory_stays_bounded(s, n, limit, budget, bound):
     # the per-colour walk adds a rule's ban on w when it reaches w, so no
     # mask holds a ban far above its level: the walk to 2000 levels peaks
-    # near 0.65 MB, the one that never gets deep near 0.5 MB, and the one
-    # 3000 nodes into n = 50000 near 2.5 MB.  Bans written when their
+    # near 0.63 MB, the one that never gets deep near 0.33 MB, and the one
+    # 3000 nodes into n = 50000 near 2.1 MB.  Bans written when their
     # source is placed (n and n + 2 - v in colour 1) made colour 1's mask n
     # bits wide at every level that saved it: 7.4 MB on that walk.  A ban
     # mask made up front for every value would take about n*n bits (44 MB
