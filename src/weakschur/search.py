@@ -117,11 +117,12 @@ def _search(
     and the table's bans for that placement into ``S`` and shifts it down
     one level; colour 1's fixed bans are preloaded.  A child that is a
     leaf (v = n), has no free colour or cannot be completed is counted but
-    not entered.  Each level saves its ``M`` and ``S``, about s*v bits
-    each, so a state wider than ``PACKED_MAX_BITS`` takes
-    ``_search_per_colour`` instead, which keeps one mask pair per colour
-    and saves one colour's pair a level.  Both walks visit the same nodes
-    and emit the same leaves in the same order.
+    not entered, and so is a child whose own children are all dead: the
+    packed walk counts their placements in one bulk step.  Each level
+    saves its ``M`` and ``S``, about s*v bits each, so a state wider than
+    ``PACKED_MAX_BITS`` takes ``_search_per_colour`` instead, which keeps
+    one mask pair per colour and saves one colour's pair a level.  Both
+    walks visit the same nodes and emit the same leaves in the same order.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -173,6 +174,17 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
     every colour's lane or in colour 1's, at their offsets from v, and
     ``S`` starts with colour 1's ``banned`` values.  Each level saves one
     (M, S, hi, free, adds) tuple.
+
+    Before it enters a child at v + 1 the walk looks one level further.
+    Bits s..2s-1 of the child's ``S`` are the bans already on v + 2, and
+    bans only grow on the way down, while the child's placements open at
+    most one colour, so its children may take at most colours
+    1..min(child_hi + 2, s): ``ahead[child_hi]``.  When all of those are
+    banned and v + 1 < n, each free colour at v + 1 is a placement with
+    no free colour below it, a dead child, so the walk counts all of them
+    at once and goes on at v.  One at a time, it would raise at the first
+    of them to find ``nodes >= limit``, having counted exactly ``limit``;
+    so the bulk step raises at ``limit`` when it would pass it.
     """
     width = s * (n + 1)
     lane0 = ((1 << width) - 1) // ((1 << s) - 1)  # bit w*s for w = 0..n
@@ -183,6 +195,9 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
         lanes[1 << k] = lane0 << k
     allowed = [(1 << k) - 1 for k in range(1, s + 1)]
     allowed.append(allowed[-1])  # allowed[hi]: colours 1..min(hi + 1, s)
+    # ahead[hi]: colours 1..min(hi + 2, s), the most that a child with
+    # highest open colour hi leaves its own children, at bits s..2s-1
+    ahead = [allowed[min(h + 1, s)] << s for h in range(s + 1)]
     rules = [0] * (n + 2)
     for only1, lo, last, mul, off in table:
         for v in range(lo, last + 1):
@@ -222,14 +237,22 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
             child_free = a ^ a & Sc  # a & ~Sc, without a full-width ~Sc
             if not child_free:
                 continue
-            Mc = M | b << vs
             if special_first:
                 # values still to place, less the colours 2..s still empty
                 short = n - v - s + child_hi
-                if short < 0 or not short and not Mc & lane0:
+                if short < 0 or not short and not (M | b << vs) & lane0:
                     continue
+            a = ahead[child_hi]
+            if a & Sc == a and v < n - 1:
+                # every value-(v + 2) colour is banned: each free colour at
+                # v + 1 is a dead child, so count them all without entering
+                k = child_free.bit_count()
+                if nodes + k > limit:
+                    raise SearchBudgetExceeded(limit)
+                nodes += k
+                continue
             push((M, S, hi, free, adds))
-            M, S, hi, free = Mc, Sc, child_hi, child_free
+            M, S, hi, free = M | b << vs, Sc, child_hi, child_free
             v += 1
             vs += s
             adds = M | rules[v]

@@ -540,6 +540,18 @@ def test_pinned_node_counts_at_four_colours(wide):
         assert _decide(4, 52)[1] == 5443
 
 
+def test_every_budget_cuts_where_the_reference_does():
+    # this seed walk has 1060 nodes, 184 of them counted in 115 bulk steps
+    # of the packed walk (a level whose every placement is dead); a bulk
+    # step must stop at the budget exactly where one-at-a-time counting does
+    kwargs = dict(s=3, n=10, no_double=True, special_first=True, seed_filters=True)
+    assert _walk(_search, None, **kwargs)[0] == (False, 1060)
+    for budget in range(1062):
+        assert _walk(_search, None, budget=budget, **kwargs) == _walk(
+            _search_reference, None, require_all=True, budget=budget, **kwargs
+        ), budget
+
+
 @pytest.mark.parametrize("budget,nodes", [(0, 0), (1, 1), (5, 5), (-5, 0)])
 def test_budget_cuts_after_exactly_budget_nodes(budget, nodes):
     # the budget is compared with ``>=`` before each placement, so a
