@@ -22,6 +22,7 @@ schema.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -410,6 +411,14 @@ def _cmd_search_seeds(args) -> int:
 
 
 def main(argv=None) -> int:
+    # A command builds no reference cycles that outlive it, so the cyclic
+    # collector would only re-walk live objects, such as the 10^5
+    # violations of a rejected partition, each time enough have been
+    # allocated.  It is paused for the command and turned back on after
+    # it, so an in-process caller gets its collector back.
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         code = _dispatch(argv)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -420,6 +429,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
+    finally:
+        if paused:
+            gc.enable()
     return code
 
 

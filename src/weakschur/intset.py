@@ -19,6 +19,10 @@ _BYTE_BITS = tuple(
 )
 # each byte value with its 8 bits in reverse order, for ``reflect``
 _REVERSED_BYTES = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
+# each byte value's even bits 0, 2, 4, 6 packed into its low nibble, and
+# the same packed into its high nibble, for ``halve``
+_EVEN_BITS_LO = bytes(v & 1 | v >> 1 & 2 | v >> 2 & 4 | v >> 3 & 8 for v in range(256))
+_EVEN_BITS_HI = bytes(b << 4 for b in _EVEN_BITS_LO)
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -90,6 +94,21 @@ def reflect(mask: int, r: int) -> int:
     out = int.from_bytes(mask.to_bytes(nb, "little").translate(_REVERSED_BYTES), "big")
     shift = r + 1 - 8 * nb
     return out << shift if shift >= 0 else out >> -shift
+
+
+def halve(mask: int) -> int:
+    """The mask of {a : 2a in mask}: bit a of the result is bit 2a of mask.
+
+    Byte 2j of the mask holds bits 16j..16j+7, whose even bits are bits
+    8j..8j+3 of the result, and byte 2j + 1 holds those for bits
+    8j+4..8j+7; so the even bytes, packed by one table into low nibbles,
+    and the odd bytes, packed by another into high nibbles, OR into the
+    result's bytes.  With an odd byte count the odd bytes are one fewer,
+    and the missing one would be zero.
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return (int.from_bytes(data[0::2].translate(_EVEN_BITS_LO), "little")
+            | int.from_bytes(data[1::2].translate(_EVEN_BITS_HI), "little"))
 
 
 class IntSet:

@@ -105,7 +105,7 @@ VIOLATION_KINDS = {
 _OTHER_KIND = ViolationKind(lambda w, _i: " ".join(map(str, w)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Violation:
     """One broken rule, as data.
 
@@ -117,6 +117,13 @@ class Violation:
     kind: str
     subset_index: Optional[int]
     witness: tuple[int, ...] = ()
+
+    def __init__(self, kind: str, subset_index: Optional[int], witness: tuple[int, ...] = ()):
+        # the frozen dataclass __init__ goes through object.__setattr__ three
+        # times; the slots' own setters skip that lookup
+        _set_kind(self, kind)
+        _set_subset_index(self, subset_index)
+        _set_witness(self, witness)
 
     @property
     def sort_key(self) -> tuple:
@@ -140,6 +147,11 @@ class Violation:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+_set_kind = Violation.kind.__set__
+_set_subset_index = Violation.subset_index.__set__
+_set_witness = Violation.witness.__set__
 
 
 def violation_key(v: Violation) -> tuple:
@@ -187,19 +199,33 @@ class ViolationReport:
 
     def write_json(self, out: IO[str]) -> None:
         """Write ``json.dumps(self.as_json(), sort_keys=True)`` to out, 1024
-        violations at a time, without building the document."""
+        violations at a time, without building the document.
+
+        Each violation is one ``%`` of its witness against a template built
+        once per (kind, subset index, witness length) by _violation_template."""
         vs = self.violations
-        # each kind's JSON string, encoded once
-        heads = {k: f'{{"kind": {json.dumps(k)}, "subset_index": ' for k in {v.kind for v in vs}}
+        templates: dict[tuple, str] = {}
         out.write(f'{{"checked_conditions": {json.dumps(sorted(self.checked_conditions))}, '
                   '"violations": [')
         for k in range(0, len(vs), 1024):
-            out.write((", " if k else "") + ", ".join([
-                f'{heads[v.kind]}{"null" if v.subset_index is None else v.subset_index}, '
-                f'"witness": [{", ".join(map(str, v.witness))}]}}'
-                for v in vs[k:k + 1024]
-            ]))
+            parts = []
+            for v in vs[k:k + 1024]:
+                key = v.kind, v.subset_index, len(v.witness)
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _violation_template(*key)
+                parts.append(template % v.witness)
+            out.write((", " if k else "") + ", ".join(parts))
         out.write("]}")
+
+
+def _violation_template(kind: str, subset_index: Optional[int], size: int) -> str:
+    """The JSON text of a violation with this kind and subset index, a
+    ``%d`` for each of its size witness integers; a ``%`` in the kind's
+    text is escaped, so only the witness is formatted into it."""
+    return (f'{{"kind": {json.dumps(kind).replace("%", "%%")}, '
+            f'"subset_index": {json.dumps(subset_index)}, '
+            f'"witness": [{", ".join(["%d"] * size)}]}}')
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intset import IntSet, bit_positions, reflect, run_bounds
+from .intset import IntSet, bit_positions, halve, reflect, run_bounds
 from .partition import (
     Partition,
     Violation,
@@ -154,9 +154,7 @@ def _weak_by_elements(
             if first_only:
                 b = (pair & -pair).bit_length() - 1
                 return [Violation("weak-sum", index, (a, b, a + b))]
-            out.extend(
-                Violation("weak-sum", index, (a, b, a + b)) for b in bit_positions(pair)
-            )
+            out += [Violation("weak-sum", index, (a, b, a + b)) for b in bit_positions(pair)]
     return out
 
 
@@ -279,10 +277,7 @@ def condition2_violations(p: Partition) -> list[Violation]:
     out = []
     for i, sub in enumerate(p.subsets, 1):
         m = sub.mask
-        # keep the even binary digits: bit a of halves is bit 2a of m
-        bits = format(m, "b")
-        halves = int(bits[(len(bits) - 1) % 2::2], 2)
-        for a in bit_positions(halves & m & -32):  # a > 4 with 2a in sub
+        for a in bit_positions(halve(m) & m & -32):  # a > 4 with 2a in sub
             out.append(Violation("double-element", i, (a, 2 * a)))
     return out
 

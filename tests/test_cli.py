@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from weakschur import Partition, bound, parse_partition, partition, verify
+from weakschur import Partition, bound, cli, parse_partition, partition, verify
 from weakschur.intset import IntSet
 from weakschur.cli import MAX_BOUND_S, MAX_GENERATE_ORDER, MAX_SEARCH_ORDER, main
 
@@ -599,3 +600,27 @@ def test_json_failure_documents(tmp_path, capsys, argv, code, doc):
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err) == {k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
                                for k, v in doc.items()}
+
+
+# --- the cyclic collector is paused for a command, then given back ----------
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--s", "6"], 0),
+    (["verify", str(GOLDEN_DIR / "two_colours_8.wsp")], 1),
+    (["bound"], 2),  # argparse: --s is required
+    (["verify", "no-such-file.wsp"], 2),  # _fail
+    (["search", "ws", "--s", "3", "--cap", "20", "--budget", "10"], 3),
+], ids=["ok", "violations", "usage", "fail", "budget"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys, argv, code, enabled):
+    during = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: during.append(gc.isenabled()) or build())
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False]
+    capsys.readouterr()

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakschur import IntSet
-from weakschur.intset import bit_positions, run_bounds
+from weakschur.intset import bit_positions, halve, run_bounds
 
 small_sets = st.lists(st.integers(min_value=1, max_value=500), max_size=80)
 
@@ -236,3 +236,19 @@ def test_run_bounds_of_long_runs(runs):
     starts, stops = run_bounds(mask)
     assert (starts, stops) == naive_runs(mask)
     assert sum(((1 << b) - (1 << a) for a, b in zip(starts, stops))) == mask
+
+
+# --- halve: the even bits of a mask, by two byte tables -------------------
+
+@given(st.integers(min_value=0, max_value=2**5000))
+def test_halve_keeps_the_even_bits(mask):
+    expected = sum(1 << (k // 2) for k in naive_positions(mask) if k % 2 == 0)
+    assert halve(mask) == expected
+
+
+@given(st.sets(st.integers(min_value=0, max_value=4000)
+               .flatmap(lambda k: st.sampled_from([8 * k - 2, 8 * k - 1, 8 * k, 8 * k + 1]))
+               .filter(lambda k: k >= 0), max_size=40))
+def test_halve_at_byte_boundaries(positions):
+    # odd and even byte counts, and bits on either side of each byte border
+    assert halve(mask_of(positions)) == mask_of({k // 2 for k in positions if k % 2 == 0})

@@ -5,6 +5,8 @@ every test here holds it to the bytes of
 ``json.dumps(report.as_json(), sort_keys=True)``.
 """
 
+import dataclasses
+import gc
 import io
 import json
 import random
@@ -77,6 +79,46 @@ def test_violation_is_slotted():
     assert not hasattr(v, "__dict__")
 
 
+def test_streamed_json_of_a_mixed_report_past_two_chunks():
+    # write_json joins 1024 violations a piece and builds one template per
+    # (kind, subset index, witness length): cross two chunk borders with
+    # kinds needing escapes, null indices, empty witnesses and wide ints
+    kinds = ["weak-sum", "100%", 'say "hi"', "%d%s%%", "not-a-partition"]
+    indices = [None, 1, 12, -3, 2**70]
+    witnesses = [(), (7,), (1, 2, 3), (-5, 2**64 + 1, -(2**80), 0), tuple(range(9))]
+    rng = random.Random(3)
+    vios = [Violation(rng.choice(kinds), rng.choice(indices), rng.choice(witnesses))
+            for _ in range(2500)]
+    report = ViolationReport(tuple(vios), frozenset(LABELS))
+    assert len({(v.kind, v.subset_index, len(v.witness)) for v in vios}) == 125
+    assert streamed(report) == dumped(report)
+
+
+def test_violation_keeps_its_dataclass_behaviour():
+    v = Violation("weak-sum", 2, (1, 2, 3))
+    assert v == Violation(kind="weak-sum", subset_index=2, witness=(1, 2, 3))
+    assert v == Violation("weak-sum", subset_index=2, witness=(1, 2, 3))
+    assert hash(v) == hash(Violation("weak-sum", 2, (1, 2, 3)))
+    assert v != Violation("weak-sum", 3, (1, 2, 3))
+    assert Violation("empty-subset", 1).witness == ()
+    assert repr(v) == "Violation(kind='weak-sum', subset_index=2, witness=(1, 2, 3))"
+    assert dataclasses.replace(v, subset_index=None) == Violation("weak-sum", None, (1, 2, 3))
+    assert [f.name for f in dataclasses.fields(v)] == ["kind", "subset_index", "witness"]
+    assert Violation.__match_args__ == ("kind", "subset_index", "witness")
+    match v:
+        case Violation(kind, index, (a, b, c)):
+            assert (kind, index, a, b, c) == ("weak-sum", 2, 1, 2, 3)
+    for name in ("kind", "subset_index", "witness"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del v.kind
+    with pytest.raises(TypeError):
+        Violation("weak-sum")
+    with pytest.raises(TypeError):
+        Violation("weak-sum", 1, (1, 2, 3), "extra")
+
+
 def random_colouring(n: int, s: int, seed: int) -> list[list[int]]:
     """A seeded random s-colouring of 1..n, redrawn until every colour is used."""
     rng = random.Random(seed)
@@ -123,6 +165,20 @@ def test_cli_verify_matches_dumps(capsys, random_wsp, options):
         assert capsys.readouterr().out == plain, path
         assert main(["verify", str(path), *options, "--json"]) == code, path
         assert capsys.readouterr().out == as_json, path
+
+
+def test_cli_verify_json_runs_no_collection(capsys, random_wsp):
+    # 120294 violations: with the collector on, generation 0 alone would
+    # be collected hundreds of times over the live report
+    collections = []
+    callback = lambda phase, info: collections.append(info["generation"]) if phase == "start" else None
+    gc.callbacks.append(callback)
+    try:
+        assert main(["verify", str(random_wsp), "--json"]) == 1
+    finally:
+        gc.callbacks.remove(callback)
+    assert len(capsys.readouterr().out) > 8_000_000
+    assert collections == []
 
 
 class _Count:

@@ -135,6 +135,19 @@ def test_condition2_matches_set_membership(colours):
     assert [(v.subset_index, v.witness) for v in condition2_violations(p)] == expected
 
 
+@settings(deadline=None)
+@given(st.sets(st.integers(1, 6000), min_size=1))
+def test_condition2_matches_a_plain_scan_on_wide_sets(members):
+    # one subset as wide as several halve() byte pairs, its complement the other
+    n = max(members)
+    rest = set(range(1, n + 1)) - members
+    groups = [g for g in (members, rest) if g]
+    p = Partition(tuple(IntSet(g) for g in groups), n)
+    expected = [(i, (a, 2 * a)) for i, g in enumerate(groups, 1)
+                for a in sorted(g) if a > 4 and 2 * a in g]
+    assert [(v.subset_index, v.witness) for v in condition2_violations(p)] == expected
+
+
 # --- condition 3: first-subset extension --------------------------------
 
 
