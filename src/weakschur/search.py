@@ -18,7 +18,7 @@ walk's state is colour-parallel: one int holds every colour's members and
 one every ban, and a level's free colours are a few bits of one int (see
 ``_search``).  States wider than ``PACKED_MAX_BITS`` take a walk with one
 members and one bans mask per colour, which keeps memory bounded.  Both
-walks read the same table and visit the same nodes in the same order.
+walks read the same table and count the same nodes in the same order.
 """
 
 from __future__ import annotations
@@ -78,6 +78,14 @@ class SearchResult:
 #: holds about s*n*n bits, so wider states take the per-colour walk
 PACKED_MAX_BITS = 1 << 12
 
+#: the packed walk counts a subtree from its window table when the subtree
+#: ends within WINDOW_DEPTH + 1 levels; depths 2 / 3 / 4 / 5 took
+#: _decide(4, 53) 5.0 / 3.0 / 2.3 / 2.5 s and compute_ws(4, 60,
+#: budget=10**6) 0.115 / 0.094 / 0.073 / 0.069 s
+WINDOW_DEPTH = 4
+#: most entries the window table keeps; a full one is emptied
+WINDOW_ENTRIES = 1 << 16
+
 
 def _search(
     s: int,
@@ -88,6 +96,7 @@ def _search(
     seed_filters: bool = False,
     budget: Optional[int] = None,
     emit: Callable[[list[int]], bool],
+    counts: Optional[dict] = None,
 ) -> tuple[bool, int]:
     """Core backtracker over colourings of 1..n (n >= 1) with s colours.
 
@@ -121,8 +130,21 @@ def _search(
     packed walk counts their placements in one bulk step.  Each level
     saves its ``M`` and ``S``, about s*v bits each, so a state wider than
     ``PACKED_MAX_BITS`` takes ``_search_per_colour`` instead, which keeps
-    one mask pair per colour and saves one colour's pair a level.  Both
-    walks visit the same nodes and emit the same leaves in the same order.
+    one mask pair per colour and saves one colour's pair a level.
+
+    The packed walk also counts a child's whole subtree without entering
+    it when the subtree ends within WINDOW_DEPTH + 1 levels, from a table
+    keyed by the child's local window (see ``_search_packed``).
+    ``counts`` is that table, a dict of packed ints, new when None.  Its
+    key holds everything a count depends on, whatever n and the rules are,
+    so one table may serve every walk of one s: each call of ``decide``
+    or ``find_seeds`` makes one, and ``compute_ws`` makes one for all its
+    orders.  It keeps at most WINDOW_ENTRIES = 2^16 entries and is emptied
+    when full.  An entry takes about 70 bytes at s = 4, and a test holds
+    it under 100, so the cap bounds the table by 6.6 MB there; a key has
+    at most 45s bits, so wider walks add about 6 bytes an entry a
+    colour.  Both walks count the same nodes and emit the same leaves in
+    the same order.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -132,10 +154,13 @@ def _search(
     """
     if special_first and n < s:
         return False, 0  # the root is already dead: s colours need s values
-    walk = _search_packed if s * (n + 1) <= PACKED_MAX_BITS else _search_per_colour
     limit = sys.maxsize if budget is None else budget
     table, banned = _walk_rules(n, no_double, special_first, seed_filters)
-    return walk(s, n, special_first, table, banned, limit, emit)
+    if s * (n + 1) > PACKED_MAX_BITS:
+        return _search_per_colour(s, n, special_first, table, banned, limit, emit)
+    if counts is None:
+        counts = {}
+    return _search_packed(s, n, special_first, table, banned, limit, emit, counts)
 
 
 def _walk_rules(n, no_double, special_first, seed_filters):
@@ -165,7 +190,7 @@ def _walk_rules(n, no_double, special_first, seed_filters):
     return table, banned
 
 
-def _search_packed(s, n, special_first, table, banned, limit, emit):
+def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
     """_search's walk with all s colours interleaved in two ints, ``M``
     and ``S`` (see ``_search``).  ``lanes`` maps colour k + 1's bit to the
     bits w*s + k for every w, so placing v there is
@@ -185,6 +210,31 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
     at once and goes on at v.  One at a time, it would raise at the first
     of them to find ``nodes >= limit``, having counted exactly ``limit``;
     so the bulk step raises at ``limit`` when it would pass it.
+
+    Nor does it enter a child at u = v + 1 whose whole subtree ends within
+    d + 1 levels, u..u + d with d = WINDOW_DEPTH, in dead placements and
+    bulk steps.  Those placements read only the bans on u..u + d + 2, and
+    these come from the child's window, the table's key: the low
+    (d + 3)*s bits of the child's ``S``; the low (d + 3)*s bits of ``M``,
+    the colours of 1..d + 2, the only members whose weak sums with
+    u..u + d land there (values from u on sum past u + d + 2); and
+    ``rules[u..u + d]`` cut to the window.  So the subtree's node count is
+    a function of the key.  On a miss ``_window_count`` computes it once,
+    with the walk's own dead, bulk and push tests on the window ints, or 0
+    when the subtree reaches u + d + 1.  The walk adds a count k when
+    ``nodes + k <= limit`` and enters the child otherwise, so a budget that
+    ends inside the subtree cuts it where counting one at a time does.
+
+    The lookup applies where d + 3 <= v <= n - 3 - d (``wlo``, ``wtop``):
+    values 1..d + 2 are placed, and the window's placements stay below
+    n - 1, so no leaf and no end of the walk's v < n - 1 test falls inside
+    it, and nothing skipped there could emit.  It also waits for every
+    colour to be open (child_hi = s), so the key needs no highest open
+    colour.  Before that a colour never used is free on the whole window
+    (no member, no rule ban), and so is the colour a window value opens,
+    as sums of window values fall past it, so the subtree always reaches
+    u + d + 1.  With every colour open, ``special_first``'s prune on
+    colours still empty cannot fire above n either.
     """
     width = s * (n + 1)
     lane0 = ((1 << width) - 1) // ((1 << s) - 1)  # bit w*s for w = 0..n
@@ -193,11 +243,15 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
     lanes = {}
     for k in range(s):
         lanes[1 << k] = lane0 << k
-    allowed = [(1 << k) - 1 for k in range(1, s + 1)]
-    allowed.append(allowed[-1])  # allowed[hi]: colours 1..min(hi + 1, s)
+    allowed = []  # allowed[hi]: colours 1..min(hi + 1, s)
+    for k in range(1, s + 1):
+        allowed.append((1 << k) - 1)
+    allowed.append(allowed[-1])
     # ahead[hi]: colours 1..min(hi + 2, s), the most that a child with
     # highest open colour hi leaves its own children, at bits s..2s-1
-    ahead = [allowed[min(h + 1, s)] << s for h in range(s + 1)]
+    ahead = []
+    for h in range(s + 1):
+        ahead.append(allowed[min(h + 1, s)] << s)
     rules = [0] * (n + 2)
     for only1, lo, last, mul, off in table:
         for v in range(lo, last + 1):
@@ -205,6 +259,23 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
     S = 0
     for w in banned:
         S |= 1 << (w - 1) * s  # w in colour 1, relative to value 1
+    # the window table's key for a child of v: its S and the walk's M cut
+    # to wbits, then the rules' bans from v + 1..v + 1 + d cut to the
+    # window (rwin[v], one int a level, packed into rkey[v])
+    d = WINDOW_DEPTH
+    wbits = (d + 3) * s
+    wmask = (1 << wbits) - 1
+    wlo, wtop = d + 3, n - 3 - d
+    rkey = [0] * (n + 1)
+    rwin = [[0] * (d + 1)] * (n + 1)
+    if table:  # without rules every rule window is 0
+        for v in range(wlo, wtop + 1):
+            rwin[v] = []
+            for i in range(d + 1):
+                win = rules[v + 1 + i] & ((1 << (d + 3 - i) * s) - 1)
+                rwin[v].append(win)
+                rkey[v] |= win << (2 + i) * wbits
+    get = counts.get
     fmt = f"0{width}b"
     stack = []
     push = stack.append
@@ -251,6 +322,20 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
                     raise SearchBudgetExceeded(limit)
                 nodes += k
                 continue
+            if child_hi == s and wlo <= v <= wtop:
+                # a child whose subtree ends inside its window: count it
+                # from the table, unless the budget ends inside it (a is
+                # still ahead[s])
+                Mw = M & wmask
+                key = Sc & wmask | Mw << wbits | rkey[v]
+                k = get(key)
+                if k is None:
+                    if len(counts) >= WINDOW_ENTRIES:
+                        counts.clear()
+                    k = counts[key] = _window_count(Sc & wmask, Mw, rwin[v], s, a, lanes)
+                if k and nodes + k <= limit:
+                    nodes += k
+                    continue
             push((M, S, hi, free, adds))
             M, S, hi, free = M | b << vs, Sc, child_hi, child_free
             v += 1
@@ -262,6 +347,37 @@ def _search_packed(s, n, special_first, table, banned, limit, emit):
         M, S, hi, free, adds = pop()
         v -= 1
         vs -= s
+
+
+def _window_count(S, Mw, rwin, s, ahead, lanes, level=0):
+    """The nodes below a child that _search_packed would enter at u with
+    every colour open, from its window alone (see _search_packed): ``S``
+    as at the child, ``Mw`` the colours of 1..WINDOW_DEPTH + 2, ``rwin``
+    the rules' bans for each level of the window and ``ahead`` every
+    colour's bit at bits s..2s-1.  0 when the walk would enter a level past
+    u + WINDOW_DEPTH.  ``level`` is the child's level less u."""
+    a = ahead >> s
+    free = a ^ a & S
+    adds = Mw | rwin[level]
+    total = 0
+    while free:
+        b = free & -free
+        free ^= b
+        total += 1
+        Sc = (S | adds & lanes[b]) >> s
+        child_free = a ^ a & Sc
+        if not child_free:
+            continue
+        if ahead & Sc == ahead:
+            total += child_free.bit_count()
+            continue
+        if level == WINDOW_DEPTH:
+            return 0
+        k = _window_count(Sc, Mw, rwin, s, ahead, lanes, level + 1)
+        if not k:
+            return 0
+        total += k
+    return total
 
 
 def _colour_masks(bits: str, s: int) -> list[int]:
@@ -299,6 +415,12 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
     colour_of = [0] * (n + 1)
     saved_bans = [0] * (n + 1)
     nodes = 0
+    # each rule with the range of values it bans, tested first
+    reads = []
+    for only1, lo, last, mul, off in table:
+        if lo <= last:
+            tlo, thi = sorted((mul * lo + off, mul * last + off))
+            reads.append((tlo, thi, only1, mul, off))
 
     v, c = 1, 1
     hi = first = 1 if special_first else 0  # colours 1..first start open
@@ -307,11 +429,11 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
         bit = 1 << v
         top = hi + 1 if hi < s else s
         if table and c == 1:  # entering v, in a walk with rules
-            for only1, lo, last, mul, off in table:
-                if only1 and bans[1] & bit:
-                    continue  # colour 1 may not take v already
+            for tlo, thi, only1, mul, off in reads:
+                if not tlo <= v <= thi or only1 and bans[1] & bit:
+                    continue  # no ban on v, or colour 1 may not take v already
                 u = (v - off) // mul  # the value whose placement bans v
-                if lo <= u <= last and mul * u + off == v:
+                if mul * u + off == v:
                     k = colour_of[u]
                     if k == 1 or not only1:
                         bans[k] |= bit
@@ -414,6 +536,7 @@ def _decide(
     constraints: Optional[ConditionSet] = None,
     *,
     budget: int = DEFAULT_BUDGET,
+    counts: Optional[dict] = None,
 ) -> tuple[Optional[Partition], int]:
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
@@ -435,6 +558,7 @@ def _decide(
         special_first=constraints.seed_extension,
         budget=budget,
         emit=emit,
+        counts=counts,
     )
     if not found:
         return None, nodes
@@ -460,9 +584,10 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
     witness: Optional[Partition] = None
     nodes_total = 0
     mode = "capped"
+    counts: dict = {}  # one window table for every order of the scan
     for n in range(s, cap + 1):
         try:
-            w, nodes = _decide(s, n, budget=budget - nodes_total)
+            w, nodes = _decide(s, n, budget=budget - nodes_total, counts=counts)
         except SearchBudgetExceeded as e:
             nodes_total += e.nodes_visited
             break

@@ -1,6 +1,8 @@
 import hashlib
 import tracemalloc
+from bisect import bisect_right
 from contextlib import nullcontext
+from functools import partial
 from itertools import product
 from typing import Callable, Optional
 from unittest import mock
@@ -323,11 +325,13 @@ def _search_reference(
     seed_filters: bool = False,
     budget: Optional[int] = None,
     emit: Callable[[list[int]], bool],
+    emitted_at: Optional[list[int]] = None,
 ) -> tuple[bool, int]:
     """The recursive backtracker that ``_search`` replaced, kept as the
     reference: one Python call per value placed, so its depth is bounded
     by the recursion limit.  Like ``_search`` it emits its own colour
-    masks, ``members[1:]``."""
+    masks, ``members[1:]``; ``emitted_at``, when given, gets the node
+    count at each emit."""
     members = [0] * (s + 1)
     sums = [0] * (s + 1)
     nodes = 0
@@ -344,6 +348,8 @@ def _search_reference(
         if v > n:
             if require_all and (hi < s or (special_first and not members[1])):
                 return False
+            if emitted_at is not None:
+                emitted_at.append(nodes)
             return emit(members[1:])
         if require_all:
             empties = (s - hi) + (1 if special_first and not members[1] else 0)
@@ -407,14 +413,18 @@ def per_colour_walk(wide: bool):
 
 @st.composite
 def walk_sizes(draw):
-    # the exhaustive trees of s <= 3 stay small up to n = 22; from s = 4 on
-    # they do not, so there the order is smaller and the budget bounded
+    # the exhaustive trees of s <= 3 stay under 61000 nodes up to n = 30;
+    # from s = 4 on they do not, so there the budget is bounded.  The
+    # orders reach where the packed walk counts most nodes from its window
+    # table, where subtrees die a few levels down: past n = 22 at s = 3,
+    # from about n = 39 at s = 4 and n = 80 at s = 5, where it counts over
+    # 90% of the first 20000 nodes
     s = draw(st.integers(1, 6))
     if s <= 3:
-        n = draw(st.integers(1, 22))
+        n = draw(st.integers(1, 30))
         budget = draw(st.one_of(st.sampled_from([None, 0, 1]), st.integers(-3, 20000)))
     else:
-        n = draw(st.integers(1, 16))
+        n = draw(st.integers(1, {4: 60, 5: 120}.get(s, 16)))
         budget = draw(st.integers(-3, 20000))
     return s, n, budget
 
@@ -552,6 +562,65 @@ def test_every_budget_cuts_where_the_reference_does():
         ), budget
 
 
+def _reference_cuts(stop_after, top, **kwargs):
+    """What _walk(_search_reference, stop_after, budget=b, **kwargs) gives
+    for every b <= top, from one reference walk: a budget of b cuts it at
+    the first placement after b nodes, with the leaves emitted by then."""
+    emitted_at: list[int] = []
+    outcome, leaves = _walk(
+        _search_reference, stop_after, budget=top + 1, emitted_at=emitted_at, **kwargs
+    )
+    cuts = []
+    for b in range(top + 1):
+        if outcome[0] != "budget exceeded" and b >= outcome[1]:
+            cuts.append((outcome, leaves))
+        else:
+            cuts.append((("budget exceeded", max(b, 0)), leaves[: bisect_right(emitted_at, b)]))
+    return cuts
+
+
+@pytest.mark.parametrize(
+    "stop_after,kwargs",
+    [
+        # condition 1 to its first leaf: 5439 nodes, 5237 of them counted
+        # from the window table by 93 of its 177 lookups
+        (1, dict(s=4, n=51)),
+        # the first 3000 nodes of a seed walk with every rule: 2913 of them
+        # come from the table by 11 of its 31 lookups
+        (None, dict(s=4, n=42, no_double=True, special_first=True, seed_filters=True)),
+    ],
+)
+def test_every_budget_cuts_where_the_reference_does_through_the_window_table(
+    stop_after, kwargs
+):
+    # a subtree counted from the table must be entered instead when the
+    # budget ends inside it, so each budget cuts where one-at-a-time
+    # counting does
+    top = 5440 if stop_after else 3000
+    require_all = kwargs.get("special_first", False)
+    cuts = _reference_cuts(stop_after, top, require_all=require_all, **kwargs)
+    for b in range(-1, top + 1):
+        assert _walk(_search, stop_after, budget=b, **kwargs) == cuts[max(b, 0)], b
+
+
+def test_one_window_table_serves_walks_of_any_order_and_rules():
+    # the table's key holds every fact a counted subtree depends on: the
+    # bans and colours in its window and the rules' bans that land there,
+    # so walks of one s may share it, as compute_ws's orders do
+    # (whole trees at s = 3; condition 3's partner bans land in a window
+    # only near n / 2, which a short budget never reaches)
+    names = ("no_double", "special_first", "seed_filters")
+    for s, orders, budget in ((3, (23, 26), None), (4, (42, 45, 48, 51), 4000)):
+        counts: dict = {}
+        for n, flags in product(orders, product((False, True), repeat=3)):
+            kwargs = dict(zip(names, flags), s=s, n=n, budget=budget)
+            shared = _walk(partial(_search, counts=counts), None, **kwargs)
+            assert shared == _walk(
+                _search_reference, None, require_all=kwargs["special_first"], **kwargs
+            ), kwargs
+        assert len(counts) > 200
+
+
 @pytest.mark.parametrize("budget,nodes", [(0, 0), (1, 1), (5, 5), (-5, 0)])
 def test_budget_cuts_after_exactly_budget_nodes(budget, nodes):
     # the budget is compared with ``>=`` before each placement, so a
@@ -582,6 +651,47 @@ def test_wide_walk_memory_stays_bounded():
         tracemalloc.stop()
     assert witness is not None
     assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def _scan_with_window_cap(cap, budget):
+    """compute_ws(4, 60, budget=budget) with the window table capped at
+    ``cap`` entries, and the one table its orders shared."""
+    tables = []
+    walk = search._search
+
+    def spy(*args, counts, **kwargs):
+        tables.append(counts)
+        return walk(*args, counts=counts, **kwargs)
+
+    with mock.patch.object(search, "WINDOW_ENTRIES", cap), \
+            mock.patch.object(search, "_search", spy):
+        result = compute_ws(4, 60, budget=budget)
+    assert all(t is tables[0] for t in tables)
+    return result, tables[0]
+
+
+def test_window_table_memory_stays_bounded():
+    # the benchmark's scan meets 5222 distinct windows; a table capped below
+    # that is emptied when full, never holds more than its cap, and changes
+    # no result
+    full, table = _scan_with_window_cap(search.WINDOW_ENTRIES, 10**6)
+    assert len(table) == 5222
+    capped, table = _scan_with_window_cap(1 << 10, 10**6)
+    assert capped == full and (full.best_n, full.nodes_visited) == (52, 10**6)
+    assert 0 < len(table) <= 1 << 10
+    # an entry takes about 70 bytes at s = 4, under the 100 that _search's
+    # docstring bounds it by: the first 10^5 nodes meet 876 windows, so a
+    # cap of 512 entries fills
+    peaks = []
+    for cap in (1, 512):
+        tracemalloc.start()
+        try:
+            _, table = _scan_with_window_cap(cap, 10**5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(table) <= cap
+    assert peaks[1] - peaks[0] < 512 * 100, peaks
 
 
 @pytest.mark.parametrize(
