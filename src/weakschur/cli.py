@@ -228,8 +228,7 @@ def _cmd_verify(args) -> int:
         report.write_json(sys.stdout)
         sys.stdout.write("\n")
     else:
-        for v in report.violations:
-            print(v.describe())
+        report.write_text(sys.stdout)
         status = "ok" if report.passed else f"{len(report.violations)} violation(s)"
         print(f"{args.file}: {status} "
               f"(checked: {', '.join(sorted(report.checked_conditions))})")

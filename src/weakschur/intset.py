@@ -165,14 +165,6 @@ class IntSet:
             other = IntSet(other)
         return IntSet.from_mask(self._mask | other._mask)
 
-    def with_element(self, x: int) -> "IntSet":
-        x = _index(x)
-        if x < 1:
-            raise ValueError(f"IntSet elements must be >= 1, got {x}")
-        if self._mask >> x & 1:
-            return self
-        return IntSet.from_mask(self._mask | (1 << x))
-
     def __contains__(self, x: object) -> bool:
         try:
             k = _index(x)  # type: ignore[arg-type]

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, NamedTuple, Optional
+from functools import lru_cache
+from typing import IO, Iterable, NamedTuple, Optional
 
 from . import WSP_FORMAT_VERSION
 from .intset import IntSet, bit_positions, run_bounds
@@ -47,62 +48,49 @@ class InvalidPartitionError(ValueError):
 
 
 class ViolationKind(NamedTuple):
-    """One row of VIOLATION_KINDS.  ``text`` gives describe()'s words for
-    witness w in subset i.  ``condition`` is the requirement a construction
-    step names when its input shows this kind, and ``rank`` picks which one
-    when several fail: structure first, then conditions 1, 2 and 3.
-    Advisory kinds flag a future problem rather than a broken condition."""
+    """One row of VIOLATION_KINDS.  ``text`` gives describe()'s words for a
+    witness: a pattern with one ``%d`` per witness integer, or a dict of
+    patterns by (subset index given, witness length), where ``%d, ...``
+    stands for the whole witness joined by ", ".  ``condition`` is the
+    requirement a construction step names when its input shows this kind,
+    and ``rank`` picks which one when several fail: structure first, then
+    conditions 1, 2 and 3.  Advisory kinds flag a future problem rather
+    than a broken condition."""
 
-    text: Callable[[tuple[int, ...], Optional[int]], str]
+    text: str | dict[tuple[bool, int], str]
     condition: Optional[str] = None
     rank: int = 9
     advisory: bool = False
 
 
-def _sum_text(w: tuple[int, ...], _i: Optional[int]) -> str:
-    return f"{w[0]} + {w[1]} = {w[2]}"
-
-
-def _cover_text(w: tuple[int, ...], i: Optional[int]) -> str:
-    if not w:
-        return "bad structure"
-    if i is None:
-        return f"integer {w[0]} is not covered"
-    return f"element {w[0]} duplicated or outside 1..n"
-
-
 #: every violation kind the library reports, by Violation.kind
 VIOLATION_KINDS = {
-    "weak-sum": ViolationKind(_sum_text, "condition 1 (weak sum-freeness)", 1),
-    "strong-sum": ViolationKind(_sum_text),
-    "double-element": ViolationKind(
-        lambda w, _i: f"pair {w[0]}, {w[1]}", "condition 2 (no a,2a pair with a > 4)", 2
-    ),
-    "condition3-sumfree": ViolationKind(_sum_text, "condition 3 (subset 1 extension)", 3),
-    "condition3-membership": ViolationKind(
-        lambda w, _i: f"order {w[0]} is a member", "condition 3 (order in subset 1)", 3
-    ),
-    "empty-subset": ViolationKind(lambda _w, _i: "no elements", "well-formedness", 0),
-    "not-a-partition": ViolationKind(_cover_text, "well-formedness", 0),
+    "weak-sum": ViolationKind("%d + %d = %d", "condition 1 (weak sum-freeness)", 1),
+    "strong-sum": ViolationKind("%d + %d = %d"),
+    "double-element": ViolationKind("pair %d, %d", "condition 2 (no a,2a pair with a > 4)", 2),
+    "condition3-sumfree": ViolationKind("%d + %d = %d", "condition 3 (subset 1 extension)", 3),
+    "condition3-membership":
+        ViolationKind("order %d is a member", "condition 3 (order in subset 1)", 3),
+    "empty-subset": ViolationKind("no elements", "well-formedness", 0),
+    "not-a-partition": ViolationKind({
+        (False, 0): "bad structure", (True, 0): "bad structure",
+        (False, 1): "integer %d is not covered",
+        (True, 1): "element %d duplicated or outside 1..n",
+    }, "well-formedness", 0),
     "order-too-small": ViolationKind(
-        lambda w, _i: f"order {w[0]} is below 4, the smallest the step extends",
-        "minimum order 4",
+        "order %d is below 4, the smallest the step extends", "minimum order 4"
     ),
     "injected-double": ViolationKind(
-        lambda w, _i: f"{w[0]} present, so the step would inject its double {w[1]}",
+        "%d present, so the step would inject its double %d",
         "injected-double guard ((n+2)/2 outside subset 1)",
     ),
     "advisory-lookahead": ViolationKind(
-        lambda w, _i: f"5 present, so the next step would put {w[1]} there", advisory=True
+        "%d present, so the next step would put %d there", advisory=True
     ),
     "advisory-chain-break": ViolationKind(
-        lambda w, _i: "iteration provably stops a few steps out "
-                      f"(involving {', '.join(map(str, w))})",
-        advisory=True,
+        "iteration provably stops a few steps out (involving %d, ...)", advisory=True
     ),
 }
-# a kind outside the table is described by its bare witness
-_OTHER_KIND = ViolationKind(lambda w, _i: " ".join(map(str, w)))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -126,17 +114,12 @@ class Violation:
         _set_witness(self, witness)
 
     @property
-    def sort_key(self) -> tuple:
-        return violation_key(self)
-
-    @property
     def is_advisory(self) -> bool:
-        return VIOLATION_KINDS.get(self.kind, _OTHER_KIND).advisory
+        row = VIOLATION_KINDS.get(self.kind)
+        return row is not None and row.advisory
 
     def describe(self) -> str:
-        where = f" in subset {self.subset_index}" if self.subset_index is not None else ""
-        core = VIOLATION_KINDS.get(self.kind, _OTHER_KIND).text(self.witness, self.subset_index)
-        return f"{self.kind}: {core}{where}"
+        return _text_template(self.kind, self.subset_index, len(self.witness)) % self.witness
 
     def as_json(self) -> dict:
         return {
@@ -158,7 +141,7 @@ def violation_key(v: Violation) -> tuple:
     """The order every report lists violations in: by subset (unlabelled
     first), then sum (the witness's last integer), then smaller operand
     (its first), then kind.  A plain function, so sorts pass it as their
-    key without a lambda; Violation.sort_key is the same tuple."""
+    key without a lambda."""
     w = v.witness
     return (
         v.subset_index if v.subset_index is not None else 0,
@@ -197,26 +180,54 @@ class ViolationReport:
             "checked_conditions": sorted(self.checked_conditions),
         }
 
+    def write_text(self, out: IO[str]) -> None:
+        """Write one describe() line per violation to out, each ending in a
+        newline, 1024 violations at a time."""
+        self._write_each(out, _text_template, "\n")
+        if self.violations:
+            out.write("\n")
+
     def write_json(self, out: IO[str]) -> None:
         """Write ``json.dumps(self.as_json(), sort_keys=True)`` to out, 1024
-        violations at a time, without building the document.
-
-        Each violation is one ``%`` of its witness against a template built
-        once per (kind, subset index, witness length) by _violation_template."""
-        vs = self.violations
-        templates: dict[tuple, str] = {}
+        violations at a time, without building the document."""
         out.write(f'{{"checked_conditions": {json.dumps(sorted(self.checked_conditions))}, '
                   '"violations": [')
+        self._write_each(out, _violation_template, ", ")
+        out.write("]}")
+
+    def _write_each(self, out: IO[str], template_of, sep: str) -> None:
+        """Write the violations to out, sep between them, 1024 at a time.
+        Each is one ``%`` of its witness against a template that
+        template_of builds once per (kind, subset index, witness length)."""
+        vs = self.violations
+        templates: dict[tuple, str] = {}
         for k in range(0, len(vs), 1024):
             parts = []
             for v in vs[k:k + 1024]:
                 key = v.kind, v.subset_index, len(v.witness)
                 template = templates.get(key)
                 if template is None:
-                    template = templates[key] = _violation_template(*key)
+                    template = templates[key] = template_of(*key)
                 parts.append(template % v.witness)
-            out.write((", " if k else "") + ", ".join(parts))
-        out.write("]}")
+            out.write((sep if k else "") + sep.join(parts))
+
+
+# describe() runs once per violation: build each shape's template once
+@lru_cache(maxsize=1024)
+def _text_template(kind: str, subset_index: Optional[int], size: int) -> str:
+    """describe()'s line for a violation with this kind and subset index, a
+    ``%d`` for each of its size witness integers.  The words come from the
+    kind's VIOLATION_KINDS row; a kind outside the table, or a witness
+    whose length the row's words do not fit, is written as the bare
+    witness.  A ``%`` in the kind is escaped, as in _violation_template."""
+    words = VIOLATION_KINDS[kind].text if kind in VIOLATION_KINDS else ""
+    if isinstance(words, dict):
+        words = words.get((subset_index is not None, size), "")
+    words = words.replace("%d, ...", ", ".join(["%d"] * size))
+    if words.count("%d") != size:
+        words = " ".join(["%d"] * size)
+    where = "" if subset_index is None else f" in subset {subset_index}"
+    return f"{kind.replace('%', '%%')}: {words}{where}"
 
 
 def _violation_template(kind: str, subset_index: Optional[int], size: int) -> str:

@@ -71,15 +71,15 @@ def test_from_mask_rejects_bit_zero():
         IntSet.from_mask(-2)
 
 
-def test_union_and_with_element():
+def test_union_of_sets_and_iterables():
     a = IntSet([1, 2])
     b = IntSet([2, 9])
     assert a.union(b) == IntSet([1, 2, 9])
     assert a.union([5]) == IntSet([1, 2, 5])
-    assert a.with_element(4) == IntSet([1, 2, 4])
-    assert a.with_element(2) is a
+    assert a.union([4]) == IntSet([1, 2, 4])
+    assert a.union([2]) == a
     with pytest.raises(ValueError):
-        a.with_element(0)
+        a.union([0])
 
 
 def test_equality_and_hash():
@@ -133,7 +133,7 @@ def test_mask_and_tuple_views_agree(elems, more, x):
     assert_views_match(IntSet.from_mask(s.mask), set(elems))
     assert_views_match(s.union(IntSet(more)), set(elems) | set(more))
     assert_views_match(s.union(more), set(elems) | set(more))
-    assert_views_match(s.with_element(x), set(elems) | {x})
+    assert_views_match(s.union([x]), set(elems) | {x})
 
 
 def test_mask_is_the_only_state():
@@ -150,7 +150,7 @@ def test_wide_sets_cost_their_mask_alone():
         _, peak = tracemalloc.get_traced_memory()
         assert peak < 1_000_000
         tracemalloc.reset_peak()
-        t = s.with_element(400002)
+        t = s.union([400002])
         _, peak = tracemalloc.get_traced_memory()
         assert peak < 1_000_000
     finally:

@@ -264,7 +264,7 @@ def well_formed_by_loop(p):
         seen |= m
     for e in bit_positions(full & ~seen):
         out.append(Violation("not-a-partition", None, (e,)))
-    out.sort(key=lambda v: v.sort_key)
+    out.sort(key=partition.violation_key)
     return out
 
 
@@ -501,6 +501,14 @@ DESCRIBED = [
     ("advisory-chain-break", 1, (44,), "advisory-chain-break: iteration provably "
      "stops a few steps out (involving 44) in subset 1"),
     ("something-else", 4, (1, 2), "something-else: 1 2 in subset 4"),
+    # words that do not fit the witness give way to the bare witness, and
+    # a % in a kind is text, not a pattern
+    ("weak-sum", 1, (1, 2), "weak-sum: 1 2 in subset 1"),
+    ("empty-subset", 2, (9,), "empty-subset: 9 in subset 2"),
+    ("not-a-partition", 2, (), "not-a-partition: bad structure in subset 2"),
+    ("advisory-chain-break", None, (), "advisory-chain-break: iteration provably "
+     "stops a few steps out (involving )"),
+    ("100%d", None, (7,), "100%d: 7"),
 ]
 
 
@@ -512,7 +520,7 @@ def test_describe_text_of_every_kind(kind, index, witness, text):
 
 
 def test_described_kinds_cover_the_table():
-    assert {k for k, *_ in DESCRIBED} - {"something-else"} == set(VIOLATION_KINDS)
+    assert {k for k, *_ in DESCRIBED} - {"something-else", "100%d"} == set(VIOLATION_KINDS)
 
 
 # --- serialize: runs cut from one number text, or element by element ------

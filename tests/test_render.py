@@ -1,8 +1,9 @@
-"""The streamed ``verify --json`` renderer against ``json.dumps``.
+"""The streamed ``verify`` renderers against ``json.dumps`` and ``describe()``.
 
-``ViolationReport.write_json`` writes the report one violation at a time;
-every test here holds it to the bytes of
-``json.dumps(report.as_json(), sort_keys=True)``.
+``ViolationReport.write_json`` and ``ViolationReport.write_text`` write the
+report one violation at a time; the tests here hold them to the bytes of
+``json.dumps(report.as_json(), sort_keys=True)`` and of one ``describe()``
+line per violation.
 """
 
 import dataclasses
@@ -43,6 +44,17 @@ violations = st.builds(
 )
 
 
+# the text writer's fallbacks: kinds that need escaping as a % pattern, and
+# subset indices and witness lengths that no row of the table has words for
+text_violations = st.builds(
+    Violation,
+    st.sampled_from(sorted(VIOLATION_KINDS) + ["100%", "%d%s%%", "something-else"])
+    | st.text(alphabet="%ds -", max_size=6),
+    st.none() | st.integers(-5, 20) | st.sampled_from([-(2**70), 2**70]),
+    st.lists(st.integers() | st.sampled_from([-(2**80), 2**64 + 1]), max_size=4).map(tuple),
+)
+
+
 def streamed(report: ViolationReport) -> str:
     out = io.StringIO()
     report.write_json(out)
@@ -53,12 +65,29 @@ def dumped(report: ViolationReport) -> str:
     return json.dumps(report.as_json(), sort_keys=True)
 
 
+def streamed_text(report: ViolationReport) -> str:
+    out = io.StringIO()
+    report.write_text(out)
+    return out.getvalue()
+
+
+def described(report: ViolationReport) -> str:
+    return "".join(v.describe() + "\n" for v in report.violations)
+
+
 @pytest.mark.parametrize("checked", LABEL_SETS, ids=lambda c: ",".join(sorted(c)) or "none")
 @settings(max_examples=40, deadline=None)
 @given(st.lists(violations, max_size=6))
 def test_streamed_json_matches_dumps(checked, vios):
     report = ViolationReport(tuple(vios), checked)
     assert streamed(report) == dumped(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(text_violations, max_size=6))
+def test_streamed_text_matches_describe(vios):
+    report = ViolationReport(tuple(vios), frozenset(LABELS))
+    assert streamed_text(report) == described(report)
 
 
 @pytest.mark.parametrize("checked", LABEL_SETS, ids=lambda c: ",".join(sorted(c)) or "none")
@@ -80,9 +109,10 @@ def test_violation_is_slotted():
 
 
 def test_streamed_json_of_a_mixed_report_past_two_chunks():
-    # write_json joins 1024 violations a piece and builds one template per
-    # (kind, subset index, witness length): cross two chunk borders with
-    # kinds needing escapes, null indices, empty witnesses and wide ints
+    # write_json and write_text join 1024 violations a piece and build one
+    # template per (kind, subset index, witness length): cross two chunk
+    # borders with kinds needing escapes, null indices, empty witnesses and
+    # wide ints
     kinds = ["weak-sum", "100%", 'say "hi"', "%d%s%%", "not-a-partition"]
     indices = [None, 1, 12, -3, 2**70]
     witnesses = [(), (7,), (1, 2, 3), (-5, 2**64 + 1, -(2**80), 0), tuple(range(9))]
@@ -92,6 +122,7 @@ def test_streamed_json_of_a_mixed_report_past_two_chunks():
     report = ViolationReport(tuple(vios), frozenset(LABELS))
     assert len({(v.kind, v.subset_index, len(v.witness)) for v in vios}) == 125
     assert streamed(report) == dumped(report)
+    assert streamed_text(report) == described(report)
 
 
 def test_violation_keeps_its_dataclass_behaviour():
@@ -195,14 +226,21 @@ def test_verify_and_streamed_render_peak_memory(random_wsp):
     # the bytes are test_cli_verify_matches_dumps's business; this is the peak
     with open(random_wsp, encoding="ascii") as fh:
         p = parse_partition(fh)
-    sink = _Count()
+    sink, text_sink = _Count(), _Count()
     tracemalloc.start()
     try:
         report = verify(p)
         report.write_json(sink)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report.write_text(text_sink)
+        text_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(report.violations) > 100_000 and sink.chars > 8_000_000
     # holding the report and its dumped document as well peaked at 79 MB
     assert peak < 45e6, f"peak {peak / 1e6:.1f} MB"
+    # the text writer holds 1024 lines at a time (0.2 MB over the report);
+    # joining every describe() line first took 17 MB more
+    assert text_sink.chars > 4_000_000
+    assert text_peak - held < 2e6, f"text writer {(text_peak - held) / 1e6:.1f} MB"

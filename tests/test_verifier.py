@@ -25,6 +25,7 @@ from weakschur import (
 )
 from weakschur import verifier
 from weakschur.intset import bit_positions
+from weakschur.partition import violation_key
 
 small_sets = st.lists(st.integers(min_value=1, max_value=400), max_size=60)
 
@@ -229,7 +230,7 @@ def test_verify_first_only_same_emptiness(base):
 def test_verify_report_sorted_deterministically():
     p = Partition.from_subsets([(2, 4, 6), (1, 3, 5, 8, 7)])
     report = verify(p, ConditionSet.condition1())
-    keys = [v.sort_key for v in report.violations]
+    keys = [violation_key(v) for v in report.violations]
     assert keys == sorted(keys)
     assert report.as_json() == verify(p, ConditionSet.condition1()).as_json()
 
@@ -361,7 +362,7 @@ def old_condition3(p, weak=weak_violations_naive):
     told otherwise."""
     s1 = p.subset(1)
     out = [replace(v, kind="condition3-sumfree", subset_index=1)
-           for v in weak(s1.with_element(p.n + 2))]
+           for v in weak(s1.union([p.n + 2]))]
     if p.n in s1:
         out.append(Violation("condition3-membership", 1, (p.n,)))
     return out
@@ -412,7 +413,7 @@ CONDITION3_SELECTIONS = (
 def test_derived_condition3_matches_the_old_formulation_and_verify(p):
     expected = old_condition3(p)
     assert condition3_violations(p) == expected
-    ordered = sorted(expected, key=lambda v: v.sort_key)  # as a report lists them
+    ordered = sorted(expected, key=violation_key)  # as a report lists them
     weak_found = any(weak_violations_naive(sub) for sub in p.subsets)
     for which in CONDITION3_SELECTIONS:
         earlier = ((which.weak_sum_free and weak_found)
@@ -479,7 +480,7 @@ def test_seven_step_chain_same_report_through_both_paths(monkeypatch):
     # moving 1 into the last subset breaks every run there: 1 + x = x + 1
     subsets = list(p.subsets)
     subsets[0] = IntSet.from_mask(subsets[0].mask & ~2)
-    subsets[-1] = subsets[-1].with_element(1)
+    subsets[-1] = subsets[-1].union([1])
     broken = Partition(tuple(subsets), p.n)
 
     run_calls = []
@@ -614,7 +615,7 @@ def test_ten_subset_chain_same_report_with_the_block_path_disabled(monkeypatch):
     assert p.n == 44834
     subsets = list(p.subsets)
     subsets[0] = IntSet.from_mask(subsets[0].mask & ~2)
-    subsets[-1] = subsets[-1].with_element(1)
+    subsets[-1] = subsets[-1].union([1])
     broken = Partition(tuple(subsets), p.n)
 
     def reports():
@@ -689,7 +690,7 @@ def reference_verify(p, which, first_only):
             if first_only and out:
                 break
     if first_only:
-        out = sorted(out, key=lambda v: v.sort_key)[:1]
+        out = sorted(out, key=violation_key)[:1]
     return ViolationReport.build(out, checked)
 
 
