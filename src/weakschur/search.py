@@ -75,7 +75,7 @@ class SearchResult:
 
 
 #: widest colour-parallel walk state, in bits (s * (n + 1)); its stack
-#: holds about s*n*n bits, so wider states take the per-colour walk
+#: holds about s*n*n/2 bits, so wider states take the per-colour walk
 PACKED_MAX_BITS = 1 << 12
 
 #: the packed walk counts a subtree from its window table when the subtree
@@ -126,11 +126,10 @@ def _search(
     and the table's bans for that placement into ``S`` and shifts it down
     one level; colour 1's fixed bans are preloaded.  A child that is a
     leaf (v = n), has no free colour or cannot be completed is counted but
-    not entered, and so is a child whose own children are all dead: the
-    packed walk counts their placements in one bulk step.  Each level
-    saves its ``M`` and ``S``, about s*v bits each, so a state wider than
-    ``PACKED_MAX_BITS`` takes ``_search_per_colour`` instead, which keeps
-    one mask pair per colour and saves one colour's pair a level.
+    not entered.  Each level saves its ``S``, at most s*(n + 1) bits, so a
+    state wider than ``PACKED_MAX_BITS`` takes ``_search_per_colour``
+    instead, which keeps one mask pair per colour and saves one colour's
+    pair a level.
 
     The packed walk also counts a child's whole subtree without entering
     it when the subtree ends within WINDOW_DEPTH + 1 levels, from a table
@@ -198,43 +197,36 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
     ``rules[v]`` holds the bans ``table`` makes for a placement of v, in
     every colour's lane or in colour 1's, at their offsets from v, and
     ``S`` starts with colour 1's ``banned`` values.  Each level saves one
-    (M, S, hi, free, adds) tuple.
+    (S, hi, free) tuple, all that a backtrack cannot rebuild: a pop back to
+    v clears the bits of values v.. from ``M`` (``M &= (1 << v*s) - 1``)
+    and recomputes ``adds`` from it.
 
-    Before it enters a child at v + 1 the walk looks one level further.
-    Bits s..2s-1 of the child's ``S`` are the bans already on v + 2, and
-    bans only grow on the way down, while the child's placements open at
-    most one colour, so its children may take at most colours
-    1..min(child_hi + 2, s): ``ahead[child_hi]``.  When all of those are
-    banned and v + 1 < n, each free colour at v + 1 is a placement with
-    no free colour below it, a dead child, so the walk counts all of them
-    at once and goes on at v.  One at a time, it would raise at the first
-    of them to find ``nodes >= limit``, having counted exactly ``limit``;
-    so the bulk step raises at ``limit`` when it would pass it.
-
-    Nor does it enter a child at u = v + 1 whose whole subtree ends within
-    d + 1 levels, u..u + d with d = WINDOW_DEPTH, in dead placements and
-    bulk steps.  Those placements read only the bans on u..u + d + 2, and
+    The walk does not enter a child at u = v + 1 whose whole subtree ends
+    within d + 1 levels, u..u + d with d = WINDOW_DEPTH, in dead
+    placements.  Those placements read only the bans on u..u + d + 2, and
     these come from the child's window, the table's key: the low
     (d + 3)*s bits of the child's ``S``; the low (d + 3)*s bits of ``M``,
     the colours of 1..d + 2, the only members whose weak sums with
     u..u + d land there (values from u on sum past u + d + 2); and
     ``rules[u..u + d]`` cut to the window.  So the subtree's node count is
     a function of the key.  On a miss ``_window_count`` computes it once,
-    with the walk's own dead, bulk and push tests on the window ints, or 0
-    when the subtree reaches u + d + 1.  The walk adds a count k when
-    ``nodes + k <= limit`` and enters the child otherwise, so a budget that
-    ends inside the subtree cuts it where counting one at a time does.
+    with the walk's own dead and push tests on the window ints, and counts
+    in one step a level whose every placement is dead (all of its colours
+    banned on the level below), or gives 0 when the subtree would enter
+    u + d + 1.  The walk adds a count k when ``nodes + k <= limit`` and
+    enters the child otherwise, so a budget that ends inside the subtree
+    cuts it where counting one at a time does.
 
     The lookup applies where d + 3 <= v <= n - 3 - d (``wlo``, ``wtop``):
-    values 1..d + 2 are placed, and the window's placements stay below
-    n - 1, so no leaf and no end of the walk's v < n - 1 test falls inside
-    it, and nothing skipped there could emit.  It also waits for every
-    colour to be open (child_hi = s), so the key needs no highest open
-    colour.  Before that a colour never used is free on the whole window
-    (no member, no rule ban), and so is the colour a window value opens,
-    as sums of window values fall past it, so the subtree always reaches
-    u + d + 1.  With every colour open, ``special_first``'s prune on
-    colours still empty cannot fire above n either.
+    values 1..d + 2 are placed, and the window enters no level past
+    n - 2, so every level it counts in one step lies below n: no leaf
+    falls inside it, and nothing skipped there could emit.  It also waits
+    for every colour to be open (child_hi = s), so the key needs no
+    highest open colour.  Before that a colour never used is free on the
+    whole window (no member, no rule ban), and so is the colour a window
+    value opens, as sums of window values fall past it, so the subtree
+    always reaches u + d + 1.  With every colour open, ``special_first``'s
+    prune on colours still empty cannot fire above n either.
     """
     width = s * (n + 1)
     lane0 = ((1 << width) - 1) // ((1 << s) - 1)  # bit w*s for w = 0..n
@@ -247,11 +239,7 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
     for k in range(1, s + 1):
         allowed.append((1 << k) - 1)
     allowed.append(allowed[-1])
-    # ahead[hi]: colours 1..min(hi + 2, s), the most that a child with
-    # highest open colour hi leaves its own children, at bits s..2s-1
-    ahead = []
-    for h in range(s + 1):
-        ahead.append(allowed[min(h + 1, s)] << s)
+    ahead = allowed[s] << s  # every colour's bit at bits s..2s-1
     rules = [0] * (n + 2)
     for only1, lo, last, mul, off in table:
         for v in range(lo, last + 1):
@@ -313,30 +301,20 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
                 short = n - v - s + child_hi
                 if short < 0 or not short and not (M | b << vs) & lane0:
                     continue
-            a = ahead[child_hi]
-            if a & Sc == a and v < n - 1:
-                # every value-(v + 2) colour is banned: each free colour at
-                # v + 1 is a dead child, so count them all without entering
-                k = child_free.bit_count()
-                if nodes + k > limit:
-                    raise SearchBudgetExceeded(limit)
-                nodes += k
-                continue
             if child_hi == s and wlo <= v <= wtop:
                 # a child whose subtree ends inside its window: count it
-                # from the table, unless the budget ends inside it (a is
-                # still ahead[s])
+                # from the table, unless the budget ends inside it
                 Mw = M & wmask
                 key = Sc & wmask | Mw << wbits | rkey[v]
                 k = get(key)
                 if k is None:
                     if len(counts) >= WINDOW_ENTRIES:
                         counts.clear()
-                    k = counts[key] = _window_count(Sc & wmask, Mw, rwin[v], s, a, lanes)
+                    k = counts[key] = _window_count(Sc & wmask, Mw, rwin[v], s, ahead, lanes)
                 if k and nodes + k <= limit:
                     nodes += k
                     continue
-            push((M, S, hi, free, adds))
+            push((S, hi, free))
             M, S, hi, free = M | b << vs, Sc, child_hi, child_free
             v += 1
             vs += s
@@ -344,9 +322,11 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
         # every colour at v tried: undo the placement at v - 1
         if not stack:
             return False, nodes
-        M, S, hi, free, adds = pop()
+        S, hi, free = pop()
         v -= 1
         vs -= s
+        M &= (1 << vs) - 1
+        adds = M | rules[v]
 
 
 def _window_count(S, Mw, rwin, s, ahead, lanes, level=0):

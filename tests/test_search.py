@@ -551,9 +551,8 @@ def test_pinned_node_counts_at_four_colours(wide):
 
 
 def test_every_budget_cuts_where_the_reference_does():
-    # this seed walk has 1060 nodes, 184 of them counted in 115 bulk steps
-    # of the packed walk (a level whose every placement is dead); a bulk
-    # step must stop at the budget exactly where one-at-a-time counting does
+    # this seed walk has 1060 nodes; each budget must stop the packed walk
+    # exactly where the recursive reference, counting one at a time, stops
     kwargs = dict(s=3, n=10, no_double=True, special_first=True, seed_filters=True)
     assert _walk(_search, None, **kwargs)[0] == (False, 1060)
     for budget in range(1062):
@@ -653,6 +652,27 @@ def test_wide_walk_memory_stays_bounded():
     assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize(
+    "walk,bound",
+    [(lambda: find_seeds(12, 340, 1), 0.5e6), (lambda: _decide(12, 340)[0], 0.25e6)],
+    ids=["find_seeds", "decide"],
+)
+def test_packed_walk_memory_stays_bounded_at_its_widest(walk, bound):
+    # s * (n + 1) = 4092 bits is the widest state the packed walk takes.  A
+    # level saves (S, hi, free), and a backtrack rebuilds M and adds from
+    # the parent's M: the seed walk peaks near 0.37 MB and the dive near
+    # 0.13 MB, where saving (M, S, hi, free, adds) took 0.61 and 0.33 MB
+    assert 12 * (340 + 1) <= search.PACKED_MAX_BITS
+    tracemalloc.start()
+    try:
+        found = walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB"
+
+
 def _scan_with_window_cap(cap, budget):
     """compute_ws(4, 60, budget=budget) with the window table capped at
     ``cap`` entries, and the one table its orders shared."""
@@ -671,11 +691,12 @@ def _scan_with_window_cap(cap, budget):
 
 
 def test_window_table_memory_stays_bounded():
-    # the benchmark's scan meets 5222 distinct windows; a table capped below
-    # that is emptied when full, never holds more than its cap, and changes
-    # no result
+    # the benchmark's scan meets 5233 distinct windows (5222 while the walk
+    # counted a level of dead placements in one step before its lookup); a
+    # table capped below that is emptied when full, never holds more than
+    # its cap, and changes no result
     full, table = _scan_with_window_cap(search.WINDOW_ENTRIES, 10**6)
-    assert len(table) == 5222
+    assert len(table) == 5233
     capped, table = _scan_with_window_cap(1 << 10, 10**6)
     assert capped == full and (full.best_n, full.nodes_visited) == (52, 10**6)
     assert 0 < len(table) <= 1 << 10
