@@ -117,33 +117,22 @@ def _search(
 
     The depth-first walk is one loop over an explicit stack, not recursion,
     so its depth is bounded by memory rather than the interpreter's
-    recursion limit.  Its state is colour-parallel (``_search_packed``):
-    ``M`` has bit w*s + k set when value w has colour k + 1, and ``S``,
-    kept relative to the current level v, has bit (w - v)*s + k set when
-    colour k + 1 may not take w.  The free colours at v are the low s bits
-    of ``~S`` within the open ones, tried lowest first (colour 1, 2, ...),
-    and placing v in colour k + 1 ORs the colour's members, shifted by v,
-    and the table's bans for that placement into ``S`` and shifts it down
-    one level; colour 1's fixed bans are preloaded.  A child that is a
-    leaf (v = n), has no free colour or cannot be completed is counted but
-    not entered.  Each level saves its ``S``, at most s*(n + 1) bits, so a
-    state wider than ``PACKED_MAX_BITS`` takes ``_search_per_colour``
-    instead, which keeps one mask pair per colour and saves one colour's
-    pair a level.
+    recursion limit.  A state of s*(n + 1) bits, at most
+    ``PACKED_MAX_BITS``, takes the colour-parallel ``_search_packed``,
+    whose stack saves up to that many bits a level; a wider one takes
+    ``_search_per_colour``, which saves one colour's mask pair a level.
+    Both walks count the same nodes and emit the same leaves in the same
+    order.
 
-    The packed walk also counts a child's whole subtree without entering
-    it when the subtree ends within WINDOW_DEPTH + 1 levels, from a table
-    keyed by the child's local window (see ``_search_packed``).
-    ``counts`` is that table, a dict of packed ints, new when None.  Its
-    key holds everything a count depends on, whatever n and the rules are,
-    so one table may serve every walk of one s: each call of ``decide``
-    or ``find_seeds`` makes one, and ``compute_ws`` makes one for all its
-    orders.  It keeps at most WINDOW_ENTRIES = 2^16 entries and is emptied
-    when full.  An entry takes about 70 bytes at s = 4, and a test holds
-    it under 100, so the cap bounds the table by 6.6 MB there; a key has
-    at most 45s bits, so wider walks add about 6 bytes an entry a
-    colour.  Both walks count the same nodes and emit the same leaves in
-    the same order.
+    ``counts`` is the packed walk's window table, a dict of packed ints,
+    new when None.  Its key holds everything a count depends on, whatever
+    n and the rules are, so one table may serve every walk of one s: each
+    call of ``decide`` or ``find_seeds`` makes one, and ``compute_ws``
+    makes one for all its orders.  It keeps at most WINDOW_ENTRIES = 2^16
+    entries and is emptied when full.  An entry takes about 70 bytes at
+    s = 4, and a test holds it under 100, so the cap bounds the table by
+    6.6 MB there; a key has at most 45s bits, so wider walks add about 6
+    bytes an entry a colour.
 
     Returns (stopped_early, nodes); a node is one value placement, counted
     in the same order as colours are tried.  Before each placement the
@@ -190,9 +179,14 @@ def _walk_rules(n, no_double, special_first, seed_filters):
 
 
 def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
-    """_search's walk with all s colours interleaved in two ints, ``M``
-    and ``S`` (see ``_search``).  ``lanes`` maps colour k + 1's bit to the
-    bits w*s + k for every w, so placing v there is
+    """_search's walk with all s colours interleaved in two ints: ``M``
+    has bit w*s + k set when value w has colour k + 1, and ``S``, kept
+    relative to the current level v, has bit (w - v)*s + k set when colour
+    k + 1 may not take w.  The free colours at v are the low s bits of
+    ``~S`` within the open ones, tried lowest first (colour 1, 2, ...).
+    A child that is a leaf (v = n), has no free colour or cannot be
+    completed is counted but not entered.  ``lanes`` maps colour k + 1's
+    bit to the bits w*s + k for every w, so placing v there is
     ``S' = (S | adds & lanes[b]) >> s`` with ``adds = M | rules[v]``:
     ``rules[v]`` holds the bans ``table`` makes for a placement of v, in
     every colour's lane or in colour 1's, at their offsets from v, and
@@ -284,11 +278,13 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
                 raise SearchBudgetExceeded(nodes)
             nodes += 1
             child_hi = hi + 1 if b >> hi else hi
+            if special_first:
+                # values still to place, less the colours 2..s still empty
+                short = n - v - s + child_hi
+                if short < 0 or not short and not (M | b << vs) & lane0:
+                    continue
             if v == n:
-                Mc = M | b << vs
-                if special_first and (child_hi < s or not Mc & lane0):
-                    continue  # a colour, maybe colour 1, is left empty
-                if emit(_colour_masks(format(Mc, fmt), s)):
+                if emit(_colour_masks(format(M | b << vs, fmt), s)):
                     return True, nodes
                 continue
             Sc = (S | adds & lanes[b]) >> s
@@ -296,11 +292,6 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
             child_free = a ^ a & Sc  # a & ~Sc, without a full-width ~Sc
             if not child_free:
                 continue
-            if special_first:
-                # values still to place, less the colours 2..s still empty
-                short = n - v - s + child_hi
-                if short < 0 or not short and not (M | b << vs) & lane0:
-                    continue
             if child_hi == s and wlo <= v <= wtop:
                 # a child whose subtree ends inside its window: count it
                 # from the table, unless the budget ends inside it
@@ -430,15 +421,11 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
             mc = members[c]
             members[c] = mc | bit
             child_hi = c if c > hi else hi
-            if v == n:
-                if not (
-                    special_first and (child_hi < s or not members[1])
-                ) and emit(members[1:]):
+            if not (special_first and n - v < s - child_hi + (not members[1])):
+                if v < n:
+                    break
+                if emit(members[1:]):
                     return True, nodes
-            elif not (
-                special_first and n - v < (s - child_hi) + (not members[1])
-            ):
-                break
             members[c] = mc
             c += 1
         else:
@@ -470,7 +457,9 @@ def _partition_from(
     padding is always sound; the donor is the subset holding the largest
     movable element, which keeps the result deterministic.  A mask that
     sets (mask -> IntSet) already holds reuses its IntSet; a new one is
-    added to it."""
+    added to it.  The result goes through Partition.validate(), the one
+    check each leaf of the search gets, whose clean case is decided on the
+    masks alone."""
     masks = list(colour_masks)
     for i in range(s):
         if not masks[i]:
@@ -487,7 +476,9 @@ def _partition_from(
         if sub is None:
             sub = sets[m] = IntSet.from_mask(m)
         subsets.append(sub)
-    return Partition(tuple(subsets), n)
+    p = Partition(tuple(subsets), n)
+    p.validate()
+    return p
 
 
 def decide(
@@ -542,9 +533,7 @@ def _decide(
     )
     if not found:
         return None, nodes
-    witness = _partition_from(found[0], s, n)
-    witness.validate()
-    return witness, nodes
+    return _partition_from(found[0], s, n), nodes
 
 
 def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -596,8 +585,8 @@ def find_seeds(
     order, so each labelled seed shows up exactly once.
 
     The walk's prune is the seed policy, so its leaves are returned as
-    they are, each through Partition.validate() alone.  Every rule
-    validate_seed checks is a prune of the walk:
+    they are, each through the Partition.validate() in ``_partition_from``
+    alone.  Every rule validate_seed checks is a prune of the walk:
 
     * condition 1: a value is placed only in a colour with no weak-sum ban
       on it;
@@ -608,20 +597,19 @@ def find_seeds(
     * well-formedness: each value is placed once, and a leaf must use
       every colour;
     * orders up to MIN_ORDER cannot pass validate_seed cleanly and yield
-      no results.
+      no results; a larger order below s yields none through ``_search``'s
+      root guard, which spends no node.
     """
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
-    if limit <= 0 or n < s or n <= MIN_ORDER:
+    if limit <= 0 or n <= MIN_ORDER:
         return []
     seeds: list[Partition] = []
     # one walk's leaves share most subsets: each distinct mask is one IntSet
     sets: dict[int, IntSet] = {}
 
     def emit(masks: list[int]) -> bool:
-        p = _partition_from(masks, s, n, sets)
-        p.validate()
-        seeds.append(p)
+        seeds.append(_partition_from(masks, s, n, sets))
         return len(seeds) >= limit
 
     _search(

@@ -226,6 +226,9 @@ def test_find_seeds_respects_limit():
 
 def test_find_seeds_none_below_subset_count():
     assert find_seeds(3, 2, 5) == []
+    # n < s past MIN_ORDER: the search's root guard alone answers, so a
+    # zero budget, which allows no placement, must not raise
+    assert find_seeds(8, 6, 5, budget=0) == []
 
 
 def test_find_seeds_at_best_order_iterate_beats_the_base_chain(base):
