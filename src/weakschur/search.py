@@ -80,7 +80,7 @@ PACKED_MAX_BITS = 1 << 12
 
 #: the packed walk counts a subtree from its window table when the subtree
 #: ends within WINDOW_DEPTH + 1 levels; depths 2 / 3 / 4 / 5 took
-#: _decide(4, 53) 5.0 / 3.0 / 2.3 / 2.5 s and compute_ws(4, 60,
+#: decide(4, 53) 5.0 / 3.0 / 2.3 / 2.5 s and compute_ws(4, 60,
 #: budget=10**6) 0.115 / 0.094 / 0.073 / 0.069 s
 WINDOW_DEPTH = 4
 #: most entries the window table keeps; a full one is emptied
@@ -127,8 +127,8 @@ def _search(
     ``counts`` is the packed walk's window table, a dict of packed ints,
     new when None.  Its key holds everything a count depends on, whatever
     n and the rules are, so one table may serve every walk of one s: each
-    call of ``decide`` or ``find_seeds`` makes one, and ``compute_ws``
-    makes one for all its orders.  It keeps at most WINDOW_ENTRIES = 2^16
+    ``_leaves`` call without a table makes one, and ``compute_ws`` passes
+    one for all its orders.  It keeps at most WINDOW_ENTRIES = 2^16
     entries and is emptied when full.  An entry takes about 70 bytes at
     s = 4, and a test holds it under 100, so the cap bounds the table by
     6.6 MB there; a key has at most 45s bits, so wider walks add about 6
@@ -449,7 +449,7 @@ def _search_per_colour(s, n, special_first, table, banned, limit, emit):
 
 
 def _partition_from(
-    colour_masks: list[int], s: int, n: int, sets: Optional[dict[int, IntSet]] = None
+    colour_masks: list[int], s: int, n: int, sets: dict[int, IntSet]
 ) -> Partition:
     """Turn the colour masks of a leaf into a Partition with exactly s
     non-empty subsets, peeling single elements off large subsets when the
@@ -468,8 +468,6 @@ def _partition_from(
             top = 1 << (donor.bit_length() - 1)
             masks[masks.index(donor)] ^= top
             masks[i] = top
-    if sets is None:
-        sets = {}
     subsets = []
     for m in masks:
         sub = sets.get(m)
@@ -479,6 +477,26 @@ def _partition_from(
     p = Partition(tuple(subsets), n)
     p.validate()
     return p
+
+
+def _leaves(
+    s: int, n: int, limit: int, budget: int, counts: Optional[dict] = None, **rules: bool
+) -> tuple[list[Partition], int]:
+    """The first ``limit`` leaves of the walk over colourings of 1..n with
+    s colours, each a Partition from ``_partition_from``, and the walk's
+    node count: the one way into ``_search``, whose rule flags and window
+    table ``counts`` pass straight through.  One walk's leaves share most
+    subsets, so a ``mask -> IntSet`` dict kept for the call makes each
+    distinct mask one IntSet."""
+    leaves: list[Partition] = []
+    sets: dict[int, IntSet] = {}
+
+    def emit(masks: list[int]) -> bool:
+        leaves.append(_partition_from(masks, s, n, sets))
+        return len(leaves) >= limit
+
+    _, nodes = _search(s, n, budget=budget, emit=emit, counts=counts, **rules)
+    return leaves, nodes
 
 
 def decide(
@@ -497,43 +515,18 @@ def decide(
     The walk always enforces condition 1, so constraints without it are a
     ValueError: a None would claim infeasibility the walk never tested.
     """
-    witness, _ = _decide(s, n, constraints, budget=budget)
-    return witness
-
-
-def _decide(
-    s: int,
-    n: int,
-    constraints: Optional[ConditionSet] = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    counts: Optional[dict] = None,
-) -> tuple[Optional[Partition], int]:
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
     constraints = constraints if constraints is not None else ConditionSet.condition1()
     if not constraints.weak_sum_free:
         raise ValueError("the search always enforces condition 1 (weak sum-freeness)")
     if n < s:
-        return None, 0  # s non-empty subsets need at least s integers
-    found: list[list[int]] = []
-
-    def emit(masks: list[int]) -> bool:
-        found.append(masks)
-        return True
-
-    _, nodes = _search(
-        s,
-        n,
-        no_double=constraints.no_double,
-        special_first=constraints.seed_extension,
-        budget=budget,
-        emit=emit,
-        counts=counts,
+        return None  # s non-empty subsets need at least s integers
+    leaves, _ = _leaves(
+        s, n, 1, budget,
+        no_double=constraints.no_double, special_first=constraints.seed_extension,
     )
-    if not found:
-        return None, nodes
-    return _partition_from(found[0], s, n), nodes
+    return leaves[0] if leaves else None
 
 
 def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -556,15 +549,15 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
     counts: dict = {}  # one window table for every order of the scan
     for n in range(s, cap + 1):
         try:
-            w, nodes = _decide(s, n, budget=budget - nodes_total, counts=counts)
+            leaves, nodes = _leaves(s, n, 1, budget - nodes_total, counts)
         except SearchBudgetExceeded as e:
             nodes_total += e.nodes_visited
             break
         nodes_total += nodes
-        if w is None:
+        if not leaves:
             mode = "exact"
             break
-        best_n, witness = n, w
+        best_n, witness = n, leaves[0]
     return SearchResult(
         s=s,
         mode=mode,
@@ -604,21 +597,6 @@ def find_seeds(
         raise ValueError("s and n must be >= 1")
     if limit <= 0 or n <= MIN_ORDER:
         return []
-    seeds: list[Partition] = []
-    # one walk's leaves share most subsets: each distinct mask is one IntSet
-    sets: dict[int, IntSet] = {}
-
-    def emit(masks: list[int]) -> bool:
-        seeds.append(_partition_from(masks, s, n, sets))
-        return len(seeds) >= limit
-
-    _search(
-        s,
-        n,
-        no_double=True,
-        special_first=True,
-        seed_filters=True,
-        budget=budget,
-        emit=emit,
-    )
-    return seeds
+    return _leaves(
+        s, n, limit, budget, no_double=True, special_first=True, seed_filters=True
+    )[0]

@@ -27,7 +27,7 @@ from weakschur import (
     weak_violations_naive,
 )
 from weakschur import search
-from weakschur.search import DEFAULT_BUDGET, _decide, _partition_from, _search
+from weakschur.search import DEFAULT_BUDGET, _leaves, _partition_from, _search
 
 
 def weakly_sum_free(elems):
@@ -199,6 +199,27 @@ def test_compute_ws_json_labels_source():
     assert compute_ws(1, 10).as_json()["source"] == "search"
 
 
+@pytest.mark.parametrize(
+    "s,cap,budget,best_n",
+    [(1, 100, DEFAULT_BUDGET, 2), (2, 100, DEFAULT_BUDGET, 8), (3, 100, DEFAULT_BUDGET, 23),
+     (4, 60, 10**6, 52)],
+)
+def test_compute_ws_witness_is_what_one_decide_finds(s, cap, budget, best_n):
+    # the scan's orders share one window table; a single decide walks
+    # with a table of its own, and both keep the walk's first leaf
+    r = compute_ws(s, cap, budget=budget)
+    assert r.best_n == best_n
+    assert r.witness == decide(s, best_n)
+
+
+@pytest.mark.parametrize("s,top,nodes", [(2, 9, 62), (3, 24, 22610)])
+def test_compute_ws_counts_what_fresh_walks_of_each_order_count(s, top, nodes):
+    # the exact scan settles order top: it counts the nodes of one fresh
+    # walk per order s..top, each with its own window table
+    assert compute_ws(s, 100).nodes_visited == nodes
+    assert sum(_leaves(s, n, 1, DEFAULT_BUDGET)[1] for n in range(s, top + 1)) == nodes
+
+
 # --- find_seeds -----------------------------------------------------------------
 
 
@@ -280,7 +301,7 @@ def _seed_walk_leaves(s, n, *, seed_filters):
     leaves = []
 
     def emit(masks):
-        leaves.append(_partition_from(masks, s, n))
+        leaves.append(_partition_from(masks, s, n, {}))
         return False
 
     _search(s, n, no_double=True, special_first=True, seed_filters=seed_filters, emit=emit)
@@ -526,12 +547,11 @@ def test_the_walks_agree_on_a_wide_scan():
 
 @pytest.mark.parametrize("wide", [False, True])
 def test_pinned_node_counts(wide):
-    no_double = ConditionSet(weak_sum_free=True, no_double=True, seed_extension=False)
     with per_colour_walk(wide):
         assert compute_ws(3, 100).nodes_visited == 22610
-        assert _decide(3, 23, ConditionSet.condition1())[1] == 954
-        assert _decide(3, 23, no_double)[1] == 5772
-        assert _decide(3, 23, ConditionSet.all())[1] == 15127
+        assert _leaves(3, 23, 1, DEFAULT_BUDGET)[1] == 954
+        assert _leaves(3, 23, 1, DEFAULT_BUDGET, no_double=True)[1] == 5772
+        assert _leaves(3, 23, 1, DEFAULT_BUDGET, no_double=True, special_first=True)[1] == 15127
         outcome, emitted = _walk(
             _search,
             None,
@@ -549,8 +569,8 @@ def test_pinned_node_counts(wide):
 def test_pinned_node_counts_at_four_colours(wide):
     # the orders search ws --s 4 settles before its budget runs out at 53
     with per_colour_walk(wide):
-        assert _decide(4, 51)[1] == 5439
-        assert _decide(4, 52)[1] == 5443
+        assert _leaves(4, 51, 1, DEFAULT_BUDGET)[1] == 5439
+        assert _leaves(4, 52, 1, DEFAULT_BUDGET)[1] == 5443
 
 
 def test_every_budget_cuts_where_the_reference_does():
@@ -647,7 +667,7 @@ def test_wide_walk_memory_stays_bounded():
     # interleaved state, two s-colour ints a level, peaked near 22 MB
     tracemalloc.start()
     try:
-        witness, _ = _decide(100, 1000)
+        witness = decide(100, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -657,7 +677,7 @@ def test_wide_walk_memory_stays_bounded():
 
 @pytest.mark.parametrize(
     "walk,bound",
-    [(lambda: find_seeds(12, 340, 1), 0.5e6), (lambda: _decide(12, 340)[0], 0.25e6)],
+    [(lambda: find_seeds(12, 340, 1), 0.5e6), (lambda: decide(12, 340), 0.25e6)],
     ids=["find_seeds", "decide"],
 )
 def test_packed_walk_memory_stays_bounded_at_its_widest(walk, bound):
@@ -788,7 +808,7 @@ def colour_masks(assignment, s):
 def test_partition_from_matches_reference_when_padding(case):
     assignment, s, n = case
     masks = colour_masks(assignment, s)
-    p = _partition_from(masks, s, n)
+    p = _partition_from(masks, s, n, {})
     assert p == _partition_from_reference(assignment, s, n)
     assert masks == colour_masks(assignment, s)  # the caller's list is left as it was
     p.validate()
