@@ -229,7 +229,7 @@ def _cmd_verify(args) -> int:
         sys.stdout.write("\n")
     else:
         report.write_text(sys.stdout)
-        status = "ok" if report.passed else f"{len(report.violations)} violation(s)"
+        status = "ok" if report.passed else f"{report.count} violation(s)"
         print(f"{args.file}: {status} "
               f"(checked: {', '.join(sorted(report.checked_conditions))})")
     return EXIT_OK if report.passed else EXIT_VIOLATIONS

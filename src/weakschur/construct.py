@@ -21,6 +21,7 @@ from .partition import (
     Partition,
     Violation,
     ViolationReport,
+    _unrolled,
 )
 from .verifier import ALL_CONDITIONS, LABEL_WEAK, _verify
 
@@ -211,7 +212,8 @@ def validate_seed(p: Partition) -> ViolationReport:
     certifies the chain iterates indefinitely: every rule re-establishes
     itself under the step, so the induction closes.
     """
-    violations, checked = _verify(p, ALL_CONDITIONS, False)
+    runs, checked = _verify(p, ALL_CONDITIONS, False)
+    violations = _unrolled(runs)
     if LABEL_WEAK in checked:  # the conditions ran, so p is well-formed
         checked.add("look-ahead")
         found = _seed_rule_violations(p)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import IO, Iterable, NamedTuple, Optional
 
 from . import WSP_FORMAT_VERSION
@@ -137,11 +138,24 @@ _set_subset_index = Violation.subset_index.__set__
 _set_witness = Violation.witness.__set__
 
 
+def _frozen(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of an immutable class, for every name.
+    A frozen dataclass with slots=True makes its own pair name the class
+    the slots replaced, so setting a name that is not a field raises
+    TypeError there instead."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+Violation.__setattr__ = Violation.__delattr__ = _frozen
+
+
 def violation_key(v: Violation) -> tuple:
     """The order every report lists violations in: by subset (unlabelled
     first), then sum (the witness's last integer), then smaller operand
-    (its first), then kind.  A plain function, so sorts pass it as their
-    key without a lambda."""
+    (its first), then kind.  build sorts by it, so it defines the order of
+    a report built by hand; verify reaches the same order by sorting each
+    subset's packed keys (see verifier._shift).  A plain function, so
+    sorts pass it as their key without a lambda."""
     w = v.witness
     return (
         v.subset_index if v.subset_index is not None else 0,
@@ -151,13 +165,47 @@ def violation_key(v: Violation) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+def _runs_of(violations: Iterable[Violation]) -> list[tuple]:
+    """violations as runs (kind, subset index, witnesses): each a maximal
+    stretch, in order, of violations that share a kind, a subset index and
+    a witness length."""
+    runs: list[tuple] = []
+    shape = None
+    for v in violations:
+        w = v.witness
+        if (v.kind, v.subset_index, len(w)) != shape:
+            shape = v.kind, v.subset_index, len(w)
+            witnesses: list = []
+            runs.append((v.kind, v.subset_index, witnesses))
+        witnesses.append(w)
+    return runs
+
+
+def _unrolled(runs: Iterable[tuple]) -> list[Violation]:
+    """One Violation per witness of runs, in order."""
+    return [Violation(kind, i, w) for kind, i, ws in runs for w in ws]
+
+
 class ViolationReport:
     """Outcome of a verification run: an exhaustive, sorted violation list
-    plus the labels of the checks that actually ran."""
+    plus the labels of the checks that actually ran.
 
-    violations: tuple[Violation, ...]
-    checked_conditions: frozenset[str]
+    The list is held as runs (kind, subset index, witnesses) in report
+    order, as _runs_of cuts them.  verify hands over runs it decoded from
+    its checks' packed keys, so a report of 10^5 violations is written
+    without one Violation object; ``violations``, the tuple of Violation
+    objects, is built the first time it is read.  Immutable; compared,
+    hashed and printed by its violations and checked labels."""
+
+    __slots__ = ("_runs", "_violations", "checked_conditions")
+    __match_args__ = ("violations", "checked_conditions")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, violations: Iterable[Violation], checked_conditions: frozenset[str]):
+        _set = object.__setattr__
+        _set(self, "_violations", violations)
+        _set(self, "_runs", _runs_of(violations))
+        _set(self, "checked_conditions", checked_conditions)
 
     @classmethod
     def build(
@@ -166,9 +214,45 @@ class ViolationReport:
         ordered = tuple(sorted(violations, key=violation_key))
         return cls(ordered, frozenset(checked))
 
+    @classmethod
+    def _of_runs(cls, runs: list[tuple], checked: Iterable[str]) -> "ViolationReport":
+        """The report whose violations are runs, already in report order."""
+        report = object.__new__(cls)
+        _set = object.__setattr__
+        _set(report, "_violations", None)
+        _set(report, "_runs", runs)
+        _set(report, "checked_conditions", frozenset(checked))
+        return report
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        if self._violations is None:
+            object.__setattr__(self, "_violations", tuple(_unrolled(self._runs)))
+        return self._violations
+
+    @property
+    def count(self) -> int:
+        """len(self.violations), without building the tuple."""
+        return sum(len(ws) for _, _, ws in self._runs)
+
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self._runs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._runs, self.checked_conditions) == (other._runs, other.checked_conditions)
+
+    def __hash__(self) -> int:
+        return hash((self.violations, self.checked_conditions))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(violations={self.violations!r}, "
+                f"checked_conditions={self.checked_conditions!r})")
+
+    def __reduce__(self):  # pickle and copy cannot set a frozen slot
+        return type(self), (self.violations, self.checked_conditions)
 
     def blocking(self) -> tuple[Violation, ...]:
         """Violations that actually break a condition (advisories excluded)."""
@@ -184,7 +268,7 @@ class ViolationReport:
         """Write one describe() line per violation to out, each ending in a
         newline, 1024 violations at a time."""
         self._write_each(out, _text_template, "\n")
-        if self.violations:
+        if self._runs:
             out.write("\n")
 
     def write_json(self, out: IO[str]) -> None:
@@ -196,20 +280,17 @@ class ViolationReport:
         out.write("]}")
 
     def _write_each(self, out: IO[str], template_of, sep: str) -> None:
-        """Write the violations to out, sep between them, 1024 at a time.
-        Each is one ``%`` of its witness against a template that
-        template_of builds once per (kind, subset index, witness length)."""
-        vs = self.violations
-        templates: dict[tuple, str] = {}
-        for k in range(0, len(vs), 1024):
-            parts = []
-            for v in vs[k:k + 1024]:
-                key = v.kind, v.subset_index, len(v.witness)
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = template_of(*key)
-                parts.append(template % v.witness)
-            out.write((sep if k else "") + sep.join(parts))
+        """Write the violations to out, sep between them, 1024 at a time
+        across run borders.  Each is one ``%`` of its witness against its
+        run's template, which template_of builds once per (kind, subset
+        index, witness length)."""
+        template = lru_cache(maxsize=None)(template_of)
+        lines = (t % w for kind, index, ws in self._runs
+                 for t in [template(kind, index, len(ws[0]))] for w in ws)
+        lead = ""
+        while chunk := list(islice(lines, 1024)):
+            out.write(lead + sep.join(chunk))
+            lead = sep
 
 
 # describe() runs once per violation: build each shape's template once

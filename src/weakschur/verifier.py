@@ -9,15 +9,12 @@ can convict the other of a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Iterable
 
 from .intset import IntSet, bit_positions, halve, reflect, run_bounds
-from .partition import (
-    Partition,
-    Violation,
-    ViolationReport,
-    violation_key,
-)
+from .partition import Partition, Violation, ViolationReport, _runs_of, _unrolled
 
 LABEL_WELL_FORMED = "well-formed"
 LABEL_WEAK = "weak-sum-free"
@@ -85,10 +82,70 @@ PROBE_WORDS = 64
 CUT_COST = 16
 
 
+#: a key's rank, its low two bits: its kind's place in violation_key's
+#: order of kinds, which is the order of RANKED_KINDS
+CONDITION3_MEMBERSHIP, CONDITION3_SUMFREE, DOUBLE, WEAK = range(4)
+RANKED_KINDS = ("condition3-membership", "condition3-sumfree", "double-element", "weak-sum")
+
+
+def _shift(n: int) -> int:
+    """Where the sum starts in the key of a violation of a partition of
+    1..n: ``sum << (B + 2) | operand << 2 | rank``, B = (n + 2).bit_length().
+
+    Each operand is below 2^B, so sorting one subset's keys as ints sorts
+    its violations by (sum, operand, kind), as violation_key does.  The
+    only violations of one subset that tie on (sum, operand) are a weak
+    triple of subset 1 and its condition-3 copy, whose ranks 3 and 1
+    order them as their kinds do."""
+    return (n + 2).bit_length() + 2
+
+
+def _shift_for(p: Partition) -> int:
+    """_shift for p, wide enough for an element past its order as well."""
+    return _shift(max([p.n] + [sub.mask.bit_length() for sub in p.subsets]))
+
+
+def _key_runs(keys: list[int], shift: int, index: "int | None") -> list[tuple]:
+    """The violations of keys, in their order, as runs (kind, index,
+    witnesses) of one rank each: the one decoder of keys.  Every key is
+    decoded as a + b = c first, the witness of both odd ranks; the rare
+    runs of an even rank are decoded again."""
+    if not keys:
+        return []
+    low = (1 << (shift - 2)) - 1
+    ranks = [k & 3 for k in keys]
+    cuts = [0, *compress(range(1, len(keys)), map(ne, ranks, ranks[1:])), len(keys)]
+    sums = [(a := k >> 2 & low, (c := k >> shift) - a, c) for k in keys]
+    runs = []
+    for i, j in zip(cuts, cuts[1:]):
+        rank = ranks[i]
+        if rank & 1:
+            witnesses = sums[i:j]
+        elif rank:  # a, 2a
+            witnesses = [(k >> 2 & low, k >> shift) for k in keys[i:j]]
+        else:  # n
+            witnesses = [(k >> 2 & low,) for k in keys[i:j]]
+        runs.append((RANKED_KINDS[rank], index, witnesses))
+    return runs
+
+
+def _violations(keys: list[int], shift: int, index: "int | None") -> list[Violation]:
+    """One Violation per key, in order, labelled with subset index."""
+    return _unrolled(_key_runs(keys, shift, index))
+
+
 def weak_violations(
     S: IntSet, *, first_only: bool = False, subset_index: "int | None" = None
 ) -> list[Violation]:
-    """Every triple a < b with a+b also in S, via shifted intersection.
+    """Every triple a < b with a+b also in S, by smaller operand and then
+    larger, each labelled with subset_index: _weak_keys, decoded."""
+    shift = _shift(S.mask.bit_length())
+    return _violations(_weak_keys(S, shift, first_only), shift, subset_index)
+
+
+def _weak_keys(S: IntSet, shift: int, first_only: bool) -> list[int]:
+    """The weak-sum triples of S as keys (see _shift), via shifted
+    intersection.
 
     For positive integers a != b forces a+b distinct from both, so
     enumerating a < b is exactly the no-three-distinct-members criterion.
@@ -108,7 +165,8 @@ def weak_violations(
       such j on two blocks' width, not on the whole mask.  A probe that
       fires is a real triple, and that a alone is re-probed per element.
 
-    Re-probes keep the list exhaustive and in order.  One rule picks the
+    Re-probes keep the list exhaustive and in (a, b) order, and with
+    first_only it holds the first key alone.  One rule picks the
     path from the mask alone, counting big-int operations on the whole
     mask: one per candidate for the element path (a probe takes about
     four, so the rule leans to this simplest path), log2(run length) + 3
@@ -119,7 +177,7 @@ def weak_violations(
     elements per run, few occupied blocks) take the block path.  A set
     narrower than BLOCK_MIN_BLOCKS blocks, or cheaper by the other paths
     than cutting it into blocks, skips the block count after one or two
-    comparisons.  Each violation is labelled with subset_index.
+    comparisons.
     """
     m = S.mask
     if not m:
@@ -135,38 +193,38 @@ def weak_violations(
         block_probes = sum(cand.bit_count() * len(js) for _, cand, js in plan[1])
         if (2 * block_probes * (BLOCK_BITS // 64 + PROBE_WORDS)
                 < cost * ((top >> 6) + PROBE_WORDS)):
-            return _weak_by_blocks(m, plan, first_only, subset_index)
+            return _weak_by_blocks(m, plan, first_only, shift)
     if by_runs < probes:
-        return _weak_by_runs(m, low, first_only, subset_index)
-    return _weak_by_elements(m, bit_positions(low), first_only, subset_index)
+        return _weak_by_runs(m, low, first_only, shift)
+    return _weak_by_elements(m, bit_positions(low), first_only, shift)
 
 
 def _weak_by_elements(
-    m: int, operands: Iterable[int], first_only: bool, index: "int | None" = None
-) -> list[Violation]:
+    m: int, operands: Iterable[int], first_only: bool, shift: int
+) -> list[int]:
     """Exact per-element probe of each ascending operand a against mask m.
     ``(m >> a) & m`` alone is zero for most operands of a clean set, so the
-    partners b <= a are masked off only when it is not."""
-    out: list[Violation] = []
+    partners b <= a are masked off only when it is not.  The key of
+    a + b is ``(b << shift) + base``, base holding the part that depends
+    on a alone."""
+    out: list[int] = []
     for a in operands:
         pair = (m >> a) & m
         if pair and (pair := pair & (-1 << (a + 1))):
+            base = (a << shift) + (a << 2) + WEAK
             if first_only:
-                b = (pair & -pair).bit_length() - 1
-                return [Violation("weak-sum", index, (a, b, a + b))]
-            out += [Violation("weak-sum", index, (a, b, a + b)) for b in bit_positions(pair)]
+                return [(((pair & -pair).bit_length() - 1) << shift) + base]
+            out += [(b << shift) + base for b in bit_positions(pair)]
     return out
 
 
-def _weak_by_runs(
-    m: int, low: int, first_only: bool, index: "int | None" = None
-) -> list[Violation]:
+def _weak_by_runs(m: int, low: int, first_only: bool, shift: int) -> list[int]:
     """One probe per run of consecutive bits of ``low`` (operands drawn
     from mask m); runs that light it are re-enumerated per element."""
-    out: list[Violation] = []
+    out: list[int] = []
     for lo, stop in zip(*run_bounds(low)):
         if (_smear(m, stop - lo) >> lo) & m & (-1 << (lo + 1)):
-            out += _weak_by_elements(m, range(lo, stop), first_only, index)
+            out += _weak_by_elements(m, range(lo, stop), first_only, shift)
             if first_only and out:
                 break
     return out
@@ -213,9 +271,7 @@ def _block_plan(
     return blocks, work, w
 
 
-def _weak_by_blocks(
-    m: int, plan: tuple, first_only: bool, index: "int | None" = None
-) -> list[Violation]:
+def _weak_by_blocks(m: int, plan: tuple, first_only: bool, shift: int) -> list[int]:
     """Block-sparse probe over plan = _block_plan(m, low, w): each
     candidate a' of block i against each partner block j of the plan, as
     ``(T >> a') & B_j`` where B_j is block j and T the two target blocks
@@ -236,7 +292,7 @@ def _weak_by_blocks(
         lit += sorted(i * w + a for a in found)
         if first_only and lit:
             break
-    return _weak_by_elements(m, lit, first_only, index)
+    return _weak_by_elements(m, lit, first_only, shift)
 
 
 def weak_violations_naive(S: IntSet) -> list[Violation]:
@@ -269,17 +325,19 @@ def strong_violations(S: IntSet) -> list[Violation]:
 
 
 def condition2_violations(p: Partition) -> list[Violation]:
-    """Pairs a, 2a in one subset with a > 4.
+    """Pairs a, 2a in one subset with a > 4, by subset and then a.
 
     Doubling with a <= 4 is exempt: those sums are the only a+a=c shapes a
     step can run into below the reflection zone, and they are harmless.
     """
-    out = []
-    for i, sub in enumerate(p.subsets, 1):
-        m = sub.mask
-        for a in bit_positions(halve(m) & m & -32):  # a > 4 with 2a in sub
-            out.append(Violation("double-element", i, (a, 2 * a)))
-    return out
+    shift = _shift_for(p)
+    return [v for i, sub in enumerate(p.subsets, 1)
+            for v in _violations(_double_keys(sub.mask, shift), shift, i)]
+
+
+def _double_keys(m: int, shift: int) -> list[int]:
+    """The keys of the pairs a, 2a in mask m with a > 4, by a."""
+    return [(a << shift + 1) + (a << 2) + DOUBLE for a in bit_positions(halve(m) & m & -32)]
 
 
 def condition3_violations(p: Partition) -> list[Violation]:
@@ -293,22 +351,28 @@ def condition3_violations(p: Partition) -> list[Violation]:
     subset 1's triples first for equal operands, as a weak check of
     S1 + {n+2} lists them.
     """
-    return _condition3(p, weak_violations(p.subset(1)))
+    shift = _shift_for(p)
+    out = _violations(_condition3_keys(p, _weak_keys(p.subset(1), shift, False), shift),
+                      shift, 1)
+    out.sort(key=lambda v: v.witness[0])  # stable: equal operands keep S1's triples first
+    return out
 
 
-def _condition3(p: Partition, s1_weak: list[Violation]) -> list[Violation]:
-    """condition3_violations from s1_weak, the full weak_violations list
-    of subset 1.  The pairs summing to t = n+2 are the bits a of S1 that
-    S1's reflection about t also holds, a <= (t-1)/2 so that a < t - a: a
+def _condition3_keys(p: Partition, s1_weak: list[int], shift: int) -> list[int]:
+    """condition3_violations' keys from s1_weak, the full _weak_keys list
+    of subset 1: each of its triples with the rank flipped to
+    CONDITION3_SUMFREE, then the pairs summing to t = n+2, then n if
+    subset 1 holds it.  The pairs are the bits a of S1 that S1's
+    reflection about t also holds, a <= (t-1)/2 so that a < t - a: a
     double a + a = t is never a weak-sum triple."""
     n, t = p.n, p.n + 2
     m = p.subset(1).mask
     pairs = m & reflect(m, t) & ((2 << ((t - 1) >> 1)) - 1)
-    out = [Violation("condition3-sumfree", 1, v.witness) for v in s1_weak]
-    out += [Violation("condition3-sumfree", 1, (a, t - a, t)) for a in bit_positions(pairs)]
-    out.sort(key=lambda v: v.witness[0])  # stable: equal operands keep S1's triples first
+    out = [k ^ (WEAK ^ CONDITION3_SUMFREE) for k in s1_weak]
+    base = (t << shift) + CONDITION3_SUMFREE
+    out += [base + (a << 2) for a in bit_positions(pairs)]
     if m >> n & 1:
-        out.append(Violation("condition3-membership", 1, (n,)))
+        out.append((n << shift) + (n << 2) + CONDITION3_MEMBERSHIP)
     return out
 
 
@@ -322,7 +386,8 @@ def verify(
 
     Well-formedness always runs first; if it fails, the condition checks
     are skipped (their labels stay out of checked_conditions) so they never
-    see garbage.  Violations are sorted by (subset, sum, smaller operand).
+    see garbage.  Violations are sorted by (subset, sum, smaller operand,
+    kind), as violation_key orders them.
     An empty report with condition 1 checked certifies the order as a
     lower-bound witness; empty with all conditions means the partition can
     seed the construction.  With first_only, checks stop after the first
@@ -333,47 +398,60 @@ def verify(
     (condition3_violations); when condition 1 runs too, the list it
     computed for subset 1 is reused.  That is exact with first_only as
     well: verify only reaches condition 3 if subset 1's list was empty.
-    The checks run in _verify; this builds its one report.
+    The checks run in _verify, which hands over the report's runs in
+    report order; no Violation object is made until a caller reads the
+    report's violations.
     """
-    return ViolationReport.build(
+    return ViolationReport._of_runs(
         *_verify(p, which if which is not None else ALL_CONDITIONS, first_only))
 
 
 def _verify(
     p: Partition, which: ConditionSet, first_only: bool
-) -> tuple[list[Violation], set[str]]:
-    """verify's checks, as (violations, labels of the checks that ran),
-    unsorted but for first_only, which keeps the smallest; verify sorts
-    them into its report, and validate_seed adds the seed rules to the
-    list before it builds its own.  Well-formedness runs first, and the
-    condition checks only ever see a well-formed p; a p that has passed
-    that check once is not checked again."""
+) -> tuple[list[tuple], set[str]]:
+    """verify's checks, as (the report's runs, labels of the checks that
+    ran); validate_seed unrolls the runs to add its seed rules.
+    Well-formedness runs first, and the condition checks only ever see a
+    well-formed p; a p that has passed that check once is not checked
+    again.  The condition checks give each subset's violations as keys
+    (see _shift): one int sort per subset puts them in report order."""
     checked = {LABEL_WELL_FORMED}
-    out = p.structural_violations()
-    if out:
-        return out[:1] if first_only else out, checked  # already sorted
-    s1_weak = None
+    bad = p.structural_violations()
+    if bad:
+        return _runs_of(bad[:1] if first_only else bad), checked  # already sorted
+    shift = _shift(p.n)
+    found: list[list[int]] = [[] for _ in p.subsets]  # each subset's keys
     if which.weak_sum_free:
         checked.add(LABEL_WEAK)
-        for i, sub in enumerate(p.subsets, 1):
-            found = weak_violations(sub, first_only=first_only, subset_index=i)
-            if i == 1:
-                s1_weak = found
-            out += found
-            if first_only and out:  # this subset's, the first to find any
-                return [min(out, key=violation_key)], checked
+        for i, sub in enumerate(p.subsets):
+            found[i] = _weak_keys(sub, shift, first_only)
+            if first_only and found[i]:  # this subset's, the first to find any
+                return _report_runs(found, shift, True), checked
+    s1_weak = found[0]
     if which.no_double:
         checked.add(LABEL_NO_DOUBLE)
-        out += condition2_violations(p)
-        if first_only and out:
-            return [min(out, key=violation_key)], checked
+        # new lists: s1_weak stays subset 1's weak keys alone
+        found = [keys + _double_keys(sub.mask, shift) for keys, sub in zip(found, p.subsets)]
+        if first_only and any(found):
+            return _report_runs(found, shift, True), checked
     if which.seed_extension:
         checked.add(LABEL_SEED_EXT)
         # a first_only list reaches here only when it is empty, so it is
         # the full list too
-        if s1_weak is None:
-            s1_weak = weak_violations(p.subsets[0], subset_index=1)
-        out += _condition3(p, s1_weak)
-    if first_only and out:
-        return [min(out, key=violation_key)], checked
-    return out, checked
+        if not which.weak_sum_free:
+            s1_weak = _weak_keys(p.subsets[0], shift, False)
+        found[0] = found[0] + _condition3_keys(p, s1_weak, shift)
+    return _report_runs(found, shift, first_only), checked
+
+
+def _report_runs(found: list[list[int]], shift: int, first_only: bool) -> list[tuple]:
+    """The report's runs from found, each subset's keys: each list sorted
+    in place and decoded, or with first_only the smallest key of the first
+    list that has any."""
+    runs = []
+    for i, keys in enumerate(found, 1):
+        if first_only and keys:
+            return _key_runs([min(keys)], shift, i)
+        keys.sort()
+        runs += _key_runs(keys, shift, i)
+    return runs

@@ -6,10 +6,12 @@ report one violation at a time; the tests here hold them to the bytes of
 line per violation.
 """
 
+import copy
 import dataclasses
 import gc
 import io
 import json
+import pickle
 import random
 import tracemalloc
 from itertools import combinations
@@ -148,6 +150,42 @@ def test_violation_keeps_its_dataclass_behaviour():
         Violation("weak-sum")
     with pytest.raises(TypeError):
         Violation("weak-sum", 1, (1, 2, 3), "extra")
+
+
+def test_violation_and_report_refuse_every_attribute_write():
+    # the slotted dataclass's own __setattr__ raised TypeError for a name
+    # that is not a field
+    v = Violation("weak-sum", 2, (1, 2, 3))
+    report = verify(parse_partition("wsp 1\ns=2 n=5\n1: 1 2 3\n2: 4 5\n"),
+                    ConditionSet.condition1())
+    for obj, field in ((v, "kind"), (report, "violations"), (report, "checked_conditions")):
+        for name in (field, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+    assert v == Violation("weak-sum", 2, (1, 2, 3)) and not hasattr(v, "other")
+    assert report.violations == (Violation("weak-sum", 1, (1, 2, 3)),)
+    # a report verify built from runs against the same report built by hand
+    by_hand = ViolationReport.build(list(report.violations), report.checked_conditions)
+    assert report == by_hand and hash(report) == hash(by_hand) and repr(report) == repr(by_hand)
+    assert report.count == 1 and not report.passed
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_streamed_report_of_alternating_condition3_and_weak_lines():
+    # subset 1 lists each weak-sum triple right after its condition3-sumfree
+    # copy, so its runs are one line long and cross both chunk borders
+    groups = random_colouring(400, 3, seed=2)
+    report = verify(parse_partition(
+        "wsp 1\ns=3 n=400\n" + "".join(f"{i}: {' '.join(map(str, g))}\n"
+                                         for i, g in enumerate(groups, 1))))
+    first = [v.kind for v in report.violations if v.subset_index == 1]
+    changes = sum(a != b for a, b in zip(first, first[1:]))
+    assert report.count == len(report.violations) > 2048 and changes > 2048
+    assert streamed(report) == dumped(report)
+    assert streamed_text(report) == described(report)
 
 
 def random_colouring(n: int, s: int, seed: int) -> list[list[int]]:

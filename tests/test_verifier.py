@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +26,7 @@ from weakschur import (
 )
 from weakschur import verifier
 from weakschur.intset import bit_positions
-from weakschur.partition import violation_key
+from weakschur.partition import _unrolled, violation_key
 
 small_sets = st.lists(st.integers(min_value=1, max_value=400), max_size=60)
 
@@ -332,13 +333,19 @@ def operand_mask(S):
     return IntSet(a for a in S if 2 * a < S.max).mask
 
 
+def decoded(keys, S, index=None):
+    """keys of S's weak-sum triples as violations, by weak_violations' decoder."""
+    return verifier._violations(keys, verifier._shift(S.mask.bit_length()), index)
+
+
 def both_paths(S, first_only=False):
-    """(run path, per-element path) over S's candidate operands."""
+    """(run path, per-element path) over S's candidate operands, decoded."""
     if not S:
         return [], []
     low = operand_mask(S)
-    return (verifier._weak_by_runs(S.mask, low, first_only),
-            verifier._weak_by_elements(S.mask, bit_positions(low), first_only))
+    shift = verifier._shift(S.mask.bit_length())
+    return (decoded(verifier._weak_by_runs(S.mask, low, first_only, shift), S),
+            decoded(verifier._weak_by_elements(S.mask, bit_positions(low), first_only, shift), S))
 
 
 @settings(deadline=None)  # the naive O(|S|^2) scan dominates
@@ -361,8 +368,7 @@ def old_condition3(p, weak=weak_violations_naive):
     """Condition 3 as a weak check of S1 + {n+2}, by the naive scan unless
     told otherwise."""
     s1 = p.subset(1)
-    out = [replace(v, kind="condition3-sumfree", subset_index=1)
-           for v in weak(s1.union([p.n + 2]))]
+    out = [Violation("condition3-sumfree", 1, v.witness) for v in weak(s1.union([p.n + 2]))]
     if p.n in s1:
         out.append(Violation("condition3-membership", 1, (p.n,)))
     return out
@@ -446,32 +452,32 @@ def test_verify_reuses_subset1_weak_list_with_the_same_reports(monkeypatch):
 
     reused = reports()
     calls = []
-    weak = verifier.weak_violations
-    monkeypatch.setattr(verifier, "weak_violations",
-                        lambda S, **kw: calls.append(S) or weak(S, **kw))
+    weak_keys = verifier._weak_keys
+    monkeypatch.setattr(verifier, "_weak_keys",
+                        lambda S, *args: calls.append(S) or weak_keys(S, *args))
     for p in partitions:  # one weak check per subset, none again for condition 3
         calls.clear()
         verify(p)
         assert calls == list(p.subsets)
     # without the reuse: condition 3 asks for subset 1's list again
-    derived = verifier._condition3
-    monkeypatch.setattr(verifier, "_condition3",
-                        lambda p, _s1: derived(p, weak(p.subset(1))))
+    derived = verifier._condition3_keys
+    monkeypatch.setattr(verifier, "_condition3_keys",
+                        lambda p, _s1, shift: derived(p, weak_keys(p.subset(1), shift, False),
+                                                      shift))
     assert reports() == reused
     assert len(reused[0].violations) == 12499 and reused[2].passed
     # and the full reports match condition 3 as a weak check of S1 + {n+2}
     for k, p in enumerate(partitions):
         head = verify(p, ConditionSet.from_labels("1,2"))
         assert reused[2 * k] == ViolationReport.build(
-            [*head.violations, *old_condition3(p, weak)],
+            [*head.violations, *old_condition3(p, weak_violations)],
             head.checked_conditions | {"seed-extension"})
 
 
-def _weak_by_elements_only(S, *, first_only=False, subset_index=None):
+def _weak_by_elements_only(S, shift, first_only=False):
     if not S:
         return []
-    return verifier._weak_by_elements(S.mask, bit_positions(operand_mask(S)), first_only,
-                                      subset_index)
+    return verifier._weak_by_elements(S.mask, bit_positions(operand_mask(S)), first_only, shift)
 
 
 def test_seven_step_chain_same_report_through_both_paths(monkeypatch):
@@ -491,7 +497,7 @@ def test_seven_step_chain_same_report_through_both_paths(monkeypatch):
     assert run_calls  # the cost rule sent the long-run subsets down the run path
     assert reports[0].passed and not reports[2].passed
 
-    monkeypatch.setattr(verifier, "weak_violations", _weak_by_elements_only)
+    monkeypatch.setattr(verifier, "_weak_keys", _weak_by_elements_only)
     assert [verify(q, first_only=f) for q in (p, broken) for f in (False, True)] == reports
 
 
@@ -534,10 +540,22 @@ def block_cases(draw):
     return IntSet(elems), w
 
 
-def block_path(S, w, first_only=False, subset_index=None):
+def block_path_keys(S, w, shift, first_only=False):
     low = operand_mask(S)
     return verifier._weak_by_blocks(S.mask, verifier._block_plan(S.mask, low, w),
-                                    first_only, subset_index)
+                                    first_only, shift)
+
+
+def block_path(S, w, first_only=False, subset_index=None):
+    """The block path over S in w-bit blocks, decoded."""
+    shift = verifier._shift(S.mask.bit_length())
+    return decoded(block_path_keys(S, w, shift, first_only), S, subset_index)
+
+
+def element_path(S, first_only=False, subset_index=None):
+    """The per-element path over S, decoded."""
+    shift = verifier._shift(S.mask.bit_length())
+    return decoded(_weak_by_elements_only(S, shift, first_only), S, subset_index)
 
 
 @settings(deadline=None)  # the naive O(|S|^2) scan dominates
@@ -545,11 +563,11 @@ def block_path(S, w, first_only=False, subset_index=None):
 def test_block_path_equals_element_path_and_naive(case, index):
     S, w = case
     assume(S)
-    by_elements = _weak_by_elements_only(S, subset_index=index)
+    by_elements = element_path(S, subset_index=index)
     assert block_path(S, w, subset_index=index) == by_elements
     assert [replace(v, subset_index=None) for v in by_elements] == weak_violations_naive(S)
     first = block_path(S, w, first_only=True, subset_index=index)
-    assert first == _weak_by_elements_only(S, first_only=True, subset_index=index)
+    assert first == element_path(S, first_only=True, subset_index=index)
     assert first == by_elements[:1]
 
 
@@ -606,8 +624,8 @@ def test_cost_rule_keeps_small_and_scattered_sets_off_the_block_path(monkeypatch
     assert len(verify(two_adic).violations) == 12499
 
 
-def _weak_by_blocks_only(S, *, first_only=False, subset_index=None):
-    return block_path(S, 512, first_only, subset_index) if S else []
+def _weak_by_blocks_only(S, shift, first_only=False):
+    return block_path_keys(S, 512, shift, first_only) if S else []
 
 
 def test_ten_subset_chain_same_report_with_the_block_path_disabled(monkeypatch):
@@ -633,7 +651,7 @@ def test_ten_subset_chain_same_report_with_the_block_path_disabled(monkeypatch):
     assert reports() == expected
     assert not block_calls
     # and every subset, condition 3's included, through the block path alone
-    monkeypatch.setattr(verifier, "weak_violations", _weak_by_blocks_only)
+    monkeypatch.setattr(verifier, "_weak_keys", _weak_by_blocks_only)
     assert reports() == expected
     assert block_calls
 
@@ -647,9 +665,9 @@ ALL_SELECTIONS = tuple(
 )
 
 
-def reference_verify(p, which, first_only):
+def reference_verify(p, which, first_only, weak=weak_violations_naive):
     """verify's report from independent pieces: a set scan for
-    well-formedness and for a/2a pairs, weak_violations_naive for
+    well-formedness and for a/2a pairs, weak (weak_violations_naive) for
     condition 1 and old_condition3 for condition 3.  With first_only the
     checks stop at the first that finds anything, condition 1 counting
     per subset and keeping its first triple (smallest a, then smallest b),
@@ -675,15 +693,16 @@ def reference_verify(p, which, first_only):
         stages = []
         if which.weak_sum_free:
             for i, sub in enumerate(p.subsets, 1):
-                found = [replace(v, subset_index=i) for v in weak_violations_naive(sub)]
-                stages.append(("weak-sum-free", found[:1] if first_only else found))
+                found = weak(sub)[:1] if first_only else weak(sub)
+                stages.append(("weak-sum-free", [Violation(v.kind, i, v.witness) for v in found]))
         if which.no_double:
+            members = [set(sub.elements) for sub in p.subsets]
             stages.append(("no-double", [
                 Violation("double-element", i, (a, 2 * a))
                 for i, sub in enumerate(p.subsets, 1) for a in sub.elements
-                if a > 4 and 2 * a in set(sub.elements)]))
+                if a > 4 and 2 * a in members[i - 1]]))
         if which.seed_extension:
-            stages.append(("seed-extension", old_condition3(p)))
+            stages.append(("seed-extension", old_condition3(p, weak)))
         for label, found in stages:
             checked.add(label)
             out += found
@@ -750,7 +769,32 @@ def test_verify_equals_the_naive_reference_for_every_selection(p):
         for first_only in (False, True):
             expected = reference_verify(p, which, first_only)
             assert verify(p, which, first_only=first_only) == expected
-            violations, checked = verifier._verify(p, which, first_only)
+            runs, checked = verifier._verify(p, which, first_only)
+            violations = _unrolled(runs)
             assert ViolationReport.build(violations, checked) == expected
             if first_only:
                 assert len(violations) <= 1
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_verify_equals_the_reference_where_the_operand_field_widens(k):
+    # a key's operand field is (n + 2).bit_length() bits wide, so it widens
+    # from k to k + 1 bits between n = 2^k - 3 and n = 2^k - 2.  Past
+    # n = 1024 a full report holds 10^5 violations or more (3 * 10^5 at
+    # n = 4096, where the reference takes seconds per selection), so
+    # there only the first_only reports are compared
+    rng = random.Random(k)
+    weak = lru_cache(maxsize=None)(weak_violations_naive)  # shared by the selections
+    for n in range((1 << k) - 3, (1 << k) + 1):
+        s = rng.randint(1, 4) if k <= 6 else 4  # fewer colours: quadratically more triples
+        while True:
+            colours = [[] for _ in range(s)]
+            for x in range(1, n + 1):
+                colours[rng.randrange(s)].append(x)
+            if all(colours):
+                break
+        p = Partition.from_subsets(colours, n)
+        for which in ALL_SELECTIONS:
+            for first_only in (True,) if n > 1024 else (False, True):
+                assert verify(p, which, first_only=first_only) == reference_verify(
+                    p, which, first_only, weak), (n, which, first_only)
