@@ -368,37 +368,39 @@ def _cmd_search_ws(args) -> int:
 
 
 def _cmd_search_seeds(args) -> int:
-    from .partition import serialize_partitions
-    from .search import SearchBudgetExceeded, find_seeds
+    from .partition import _serialize_leaves
+    from .search import SearchBudgetExceeded, _seed_leaves
 
     _check_cap(args, "--n", args.n, MAX_SEARCH_ORDER, "max_order")
     if args.limit < 1:  # no search would run, so "found 0" would say nothing
         _fail(args, EXIT_USAGE, f"--limit must be >= 1, got {args.limit}")
     try:
-        seeds = find_seeds(args.s, args.n, args.limit, budget=args.budget)
+        # find_seeds' seeds as colour masks, written without a Partition
+        leaves = _seed_leaves(args.s, args.n, args.limit, args.budget)
     except ValueError as e:
         _fail(args, EXIT_USAGE, str(e))
     except SearchBudgetExceeded as e:
         _fail(args, EXIT_BUDGET, str(e), nodes_visited=e.nodes_visited)
-    texts = serialize_partitions(seeds)
+    texts = _serialize_leaves(args.n, leaves)
+    del leaves  # 20000 leaves hold about 4 MB that the output no longer needs
     paths = []
     if args.out_dir:
         from pathlib import Path
 
         out_dir = Path(args.out_dir)
-        paths = [str(out_dir / f"seed_{k:04d}.wsp") for k in range(1, len(seeds) + 1)]
+        paths = [str(out_dir / f"seed_{k:04d}.wsp") for k in range(1, len(texts) + 1)]
         _write_files(args, zip(paths, texts), out_dir)
     if args.json:
         _print_json({
             "s": args.s,
             "n": args.n,
             "limit": args.limit,
-            "found": len(seeds),
+            "found": len(texts),
             "source": "search",
             "seeds": paths if args.out_dir else texts,
         })
     else:
-        print(f"found {len(seeds)} seed(s) at s={args.s} n={args.n}")
+        print(f"found {len(texts)} seed(s) at s={args.s} n={args.n}")
         if args.out_dir:
             for path in paths:
                 print(path)
@@ -406,7 +408,7 @@ def _cmd_search_seeds(args) -> int:
             for k, text in enumerate(texts, 1):
                 print(f"# seed {k}")
                 _write_stdout(text)
-    return EXIT_OK if seeds else EXIT_VIOLATIONS
+    return EXIT_OK if texts else EXIT_VIOLATIONS
 
 
 def main(argv=None) -> int:

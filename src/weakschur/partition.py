@@ -383,25 +383,16 @@ def well_formed_violations(p: Partition) -> list[Violation]:
     """Structural checks: positive order, non-empty pairwise-disjoint
     subsets, union exactly {1..n}.  Returns violations, sorted.
 
-    The clean case is decided on the masks alone: non-empty masks whose
-    union is exactly bits 1..n and whose sizes add up to n are pairwise
-    disjoint, so p is well formed.  Only a partition that fails this goes
-    through the loop that names each violation."""
+    The clean case is decided on the masks alone, by ``_well_formed``.
+    Only a partition that fails it goes through the loop that names each
+    violation."""
     out: list[Violation] = []
     if p.n < 1 or p.s < 1:
         out.append(Violation("not-a-partition", None))
         return out
+    if _well_formed([sub.mask for sub in p.subsets], p.n):
+        return out
     full = (1 << (p.n + 1)) - 2  # bits 1..n
-    union = size = 0
-    for sub in p.subsets:
-        m = sub.mask
-        if not m:
-            break
-        union |= m
-        size += m.bit_count()
-    else:
-        if union == full and size == p.n:
-            return out
     seen = 0
     for i, sub in enumerate(p.subsets, 1):
         m = sub.mask
@@ -416,6 +407,19 @@ def well_formed_violations(p: Partition) -> list[Violation]:
         out.append(Violation("not-a-partition", None, (e,)))
     out.sort(key=violation_key)
     return out
+
+
+def _well_formed(masks: list[int], n: int) -> bool:
+    """Whether subsets with these masks partition 1..n: non-empty masks
+    whose union is exactly bits 1..n and whose sizes add up to n are
+    pairwise disjoint.  False for n < 1 or no masks."""
+    union = size = 0
+    for m in masks:
+        if not m:
+            return False
+        union |= m
+        size += m.bit_count()
+    return size == n > 0 and union == (1 << (n + 1)) - 2
 
 
 @dataclass(frozen=True)
@@ -712,34 +716,61 @@ def serialize_partition(p: Partition) -> str:
 def serialize_partitions(ps: Iterable[Partition]) -> list[str]:
     """serialize_partition of each partition of ps, in order.
 
-    Every partition is validated.  A subset line is built once per
-    (label, mask), however many partitions share it, as partitions found
-    by one search do: its text depends on nothing else, since a run is cut
-    from the same place in the number text of any order.  That number text
-    is built once per order.  A line is kept as its pieces, so a long one
-    is copied once, into the partition's text.
+    Every partition is validated, then written by ``_text``, which builds
+    a subset line once per (label, mask) and the number text once per
+    order, however many partitions share them.
     """
-    texts = []
-    lines: dict[tuple[int, int], tuple[str, str, str]] = {}
+    lines: dict = {}
     numbers: dict[int, str] = {}
+    texts = []
     for p in ps:
         p.validate()
-        parts = [f"wsp {WSP_FORMAT_VERSION}\ns={p.s} n={p.n}\n"]
-        for i, sub in enumerate(p.subsets, 1):
-            key = (i, sub.mask)
-            line = lines.get(key)
-            if line is None:
-                m = sub.mask
-                if _by_runs(m):
-                    if p.n not in numbers:
-                        numbers[p.n] = _number_text(p.n)
-                    body = _runs_text(m, numbers[p.n])
-                else:
-                    body = " ".join(map(str, bit_positions(m)))
-                line = lines[key] = (f"{i}: ", body, "\n")
-            parts += line
-        texts.append("".join(parts))
+        head = f"wsp {WSP_FORMAT_VERSION}\ns={p.s} n={p.n}\n"
+        texts.append(_text(head, [sub.mask for sub in p.subsets], p.n, lines, numbers))
     return texts
+
+
+def _serialize_leaves(n: int, leaves: Iterable[list[int]]) -> list[str]:
+    """serialize_partitions of the partitions of 1..n whose subset masks
+    are each leaf's, in order, without an IntSet or a Partition: each leaf
+    is checked once, by ``_well_formed``, and one that fails raises
+    InvalidPartitionError with well_formed_violations' report."""
+    lines: dict = {}
+    numbers: dict[int, str] = {}
+    heads: dict[int, str] = {}  # by subset count
+    texts = []
+    for masks in leaves:
+        if not _well_formed(masks, n):
+            p = Partition(tuple(map(IntSet.from_mask, masks)), n)
+            raise InvalidPartitionError(well_formed_violations(p))
+        s = len(masks)
+        if s not in heads:
+            heads[s] = f"wsp {WSP_FORMAT_VERSION}\ns={s} n={n}\n"
+        texts.append(_text(heads[s], masks, n, lines, numbers))
+    return texts
+
+
+def _text(head: str, masks: list[int], n: int, lines: dict, numbers: dict[int, str]) -> str:
+    """The canonical text of the well-formed partition of 1..n with these
+    subset masks, whose first two lines are head.  A subset line comes
+    from lines, keyed by (label, mask), or is built and added there: its
+    text depends on nothing else, since a run is cut from the same place in
+    the number text of any order, which numbers holds by order.  A line is
+    kept as its pieces, so a long one is copied once, into the text."""
+    parts = [head]
+    for key in enumerate(masks, 1):
+        line = lines.get(key)
+        if line is None:
+            i, m = key
+            if _by_runs(m):
+                if n not in numbers:
+                    numbers[n] = _number_text(n)
+                body = _runs_text(m, numbers[n])
+            else:
+                body = " ".join(map(str, bit_positions(m)))
+            line = lines[key] = (f"{i}: ", body, "\n")
+        parts += line
+    return "".join(parts)
 
 
 def _by_runs(mask: int) -> bool:

@@ -113,7 +113,8 @@ def _search(
     and v + GAP above 4 stay out of colour 1 once v is there.  ``emit``
     sees each complete assignment as its colour masks (a list of s masks,
     colour c's at index c - 1, bit v set when value v has colour c; a
-    colour left unused is 0) and returns True to stop the search.
+    colour left unused is 0), a new list for each leaf that it may keep,
+    and returns True to stop the search.
 
     The depth-first walk is one loop over an explicit stack, not recursion,
     so its depth is bounded by memory rather than the interpreter's
@@ -195,6 +196,14 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
     v clears the bits of values v.. from ``M`` (``M &= (1 << v*s) - 1``)
     and recomputes ``adds`` from it.
 
+    A leaf's colour masks are read from ``M`` without a text round trip:
+    value w's colour is the one bit of ``M >> w*s`` within its low s bits
+    (``_decode``).  The masks of values 1..n - 8 are kept in a one-entry
+    cache keyed by ``M``'s bits for them; leaves come depth first, so a
+    prefix that changes never comes back (the first 20000 leaves of the
+    seed walk at s = 4, n = 40 have 59), and a leaf copies the cached list
+    and decodes its last 8 values.
+
     The walk does not enter a child at u = v + 1 whose whole subtree ends
     within d + 1 levels, u..u + d with d = WINDOW_DEPTH, in dead
     placements.  Those placements read only the bans on u..u + d + 2, and
@@ -258,7 +267,11 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
                 rwin[v].append(win)
                 rkey[v] |= win << (2 + i) * wbits
     get = counts.get
-    fmt = f"0{width}b"
+    # the leaf decoder's cached prefix is values 1..top (see above)
+    top = max(n - 8, 0)
+    tbits = (top + 1) * s
+    tmask = (1 << tbits) - 1
+    pkey = -1
     stack = []
     push = stack.append
     pop = stack.pop
@@ -284,7 +297,10 @@ def _search_packed(s, n, special_first, table, banned, limit, emit, counts):
                 if short < 0 or not short and not (M | b << vs) & lane0:
                     continue
             if v == n:
-                if emit(_colour_masks(format(M | b << vs, fmt), s)):
+                if M & tmask != pkey:
+                    pkey = M & tmask
+                    prefix = _decode(pkey >> s, s, 1, top, [0] * s)
+                if emit(_decode((M | b << vs) >> tbits, s, top + 1, n, prefix.copy())):
                     return True, nodes
                 continue
             Sc = (S | adds & lanes[b]) >> s
@@ -351,10 +367,14 @@ def _window_count(S, Mw, rwin, s, ahead, lanes, level=0):
     return total
 
 
-def _colour_masks(bits: str, s: int) -> list[int]:
-    """The s colour masks of a leaf, from its ``M`` as one binary string:
-    colour k + 1 has every s-th digit, starting s - 1 - k from the left."""
-    return [int(bits[i::s], 2) for i in range(s - 1, -1, -1)]
+def _decode(x: int, s: int, lo: int, hi: int, masks: list[int]) -> list[int]:
+    """masks, colour k + 1's at index k, with values lo..hi added: ``x``
+    holds value w's s colour bits, one of them set, at bit (w - lo)*s."""
+    colours = (1 << s) - 1
+    for w in range(lo, hi + 1):
+        masks[(x & colours).bit_length() - 1] |= 1 << w
+        x >>= s
+    return masks
 
 
 def _search_per_colour(s, n, special_first, table, banned, limit, emit):
@@ -458,8 +478,8 @@ def _partition_from(
     movable element, which keeps the result deterministic.  A mask that
     sets (mask -> IntSet) already holds reuses its IntSet; a new one is
     added to it.  The result goes through Partition.validate(), the one
-    check each leaf of the search gets, whose clean case is decided on the
-    masks alone."""
+    check each leaf the library returns gets, whose clean case is decided
+    on the masks alone."""
     masks = list(colour_masks)
     for i in range(s):
         if not masks[i]:
@@ -481,18 +501,17 @@ def _partition_from(
 
 def _leaves(
     s: int, n: int, limit: int, budget: int, counts: Optional[dict] = None, **rules: bool
-) -> tuple[list[Partition], int]:
+) -> tuple[list[list[int]], int]:
     """The first ``limit`` leaves of the walk over colourings of 1..n with
-    s colours, each a Partition from ``_partition_from``, and the walk's
-    node count: the one way into ``_search``, whose rule flags and window
-    table ``counts`` pass straight through.  One walk's leaves share most
-    subsets, so a ``mask -> IntSet`` dict kept for the call makes each
-    distinct mask one IntSet."""
-    leaves: list[Partition] = []
-    sets: dict[int, IntSet] = {}
+    s colours, each the list of colour masks ``emit`` receives, and the
+    walk's node count: the one way into ``_search``, whose rule flags and
+    window table ``counts`` pass straight through.  A leaf is checked by
+    whoever turns it into a result: ``_partition_from`` for the library's
+    Partitions, ``partition._serialize_leaves`` for the CLI's texts."""
+    leaves: list[list[int]] = []
 
     def emit(masks: list[int]) -> bool:
-        leaves.append(_partition_from(masks, s, n, sets))
+        leaves.append(masks)
         return len(leaves) >= limit
 
     _, nodes = _search(s, n, budget=budget, emit=emit, counts=counts, **rules)
@@ -526,7 +545,7 @@ def decide(
         s, n, 1, budget,
         no_double=constraints.no_double, special_first=constraints.seed_extension,
     )
-    return leaves[0] if leaves else None
+    return _partition_from(leaves[0], s, n, {}) if leaves else None
 
 
 def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -543,7 +562,7 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
     if cap < s:
         raise ValueError(f"cap {cap} is below s={s}: the scan starts at order s")
     best_n = 0
-    witness: Optional[Partition] = None
+    witness: Optional[list[int]] = None  # the colour masks of best_n's leaf
     nodes_total = 0
     mode = "capped"
     counts: dict = {}  # one window table for every order of the scan
@@ -562,7 +581,7 @@ def compute_ws(s: int, cap: int, *, budget: int = DEFAULT_BUDGET) -> SearchResul
         s=s,
         mode=mode,
         best_n=best_n,
-        witness=witness,
+        witness=_partition_from(witness, s, best_n, {}) if witness else None,
         nodes_visited=nodes_total,
     )
 
@@ -577,9 +596,11 @@ def find_seeds(
     (it is exempt from first-use ordering); subsets 2..s appear in first-use
     order, so each labelled seed shows up exactly once.
 
-    The walk's prune is the seed policy, so its leaves are returned as
-    they are, each through the Partition.validate() in ``_partition_from``
-    alone.  Every rule validate_seed checks is a prune of the walk:
+    The walk's prune is the seed policy, so its leaves, from
+    ``_seed_leaves``, are returned as they are, each through the
+    Partition.validate() in ``_partition_from`` alone, with one
+    ``mask -> IntSet`` memo per call: depth-first siblings share most of
+    their subsets.  Every rule validate_seed checks is a prune of the walk:
 
     * condition 1: a value is placed only in a colour with no weak-sum ban
       on it;
@@ -593,6 +614,14 @@ def find_seeds(
       no results; a larger order below s yields none through ``_search``'s
       root guard, which spends no node.
     """
+    sets: dict[int, IntSet] = {}
+    return [_partition_from(masks, s, n, sets) for masks in _seed_leaves(s, n, limit, budget)]
+
+
+def _seed_leaves(s: int, n: int, limit: int, budget: int) -> list[list[int]]:
+    """The colour masks of find_seeds(s, n, limit, budget=budget)'s seeds,
+    unchecked: its argument guards and the seed walk, with every rule of
+    ``_walk_rules`` on.  The CLI writes these straight to text."""
     if s < 1 or n < 1:
         raise ValueError("s and n must be >= 1")
     if limit <= 0 or n <= MIN_ORDER:

@@ -90,7 +90,10 @@ def test_order_cap_sits_between_s13_and_s16():
 
 def run_peak(capsys, *argv):
     """(exit code, stderr, tracemalloc peak) of one in-process run that
-    writes nothing to stdout."""
+    writes nothing to stdout.  The library is imported first, so the peak
+    is the command's and not a first import's (2.5 MB for the search)."""
+    import weakschur.search  # noqa: F401  (imports every library module)
+
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)
@@ -372,20 +375,20 @@ def test_search_seeds(tmp_path, capsys):
 
 
 def test_search_seeds_checks_each_seed_once(capsys, monkeypatch):
-    # find_seeds validates every leaf and the writer validates again; a
-    # Partition remembers a passed check, so the second one costs nothing
+    # the CLI writes the walk's leaves as they are, colour masks and no
+    # Partition, and its writer checks each leaf on its masks once
     calls = []
-    check = partition.well_formed_violations
+    check = partition._well_formed
 
-    def counted(p):
-        calls.append(p)
-        return check(p)
+    def counted(masks, n):
+        calls.append(masks)
+        return check(masks, n)
 
-    monkeypatch.setattr(partition, "well_formed_violations", counted)
+    monkeypatch.setattr(partition, "_well_formed", counted)
     code, out, _ = run(capsys, "search", "seeds", "--s", "4", "--n", "40",
                        "--limit", "50", "--json")
     assert (code, json.loads(out)["found"]) == (0, 50)
-    assert len(calls) == 50 == len({id(p) for p in calls})
+    assert len(calls) == 50 == len({id(masks) for masks in calls})
 
 
 def test_verify_checks_a_parsed_partition_once(capsys, monkeypatch):

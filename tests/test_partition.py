@@ -432,6 +432,23 @@ def test_serialize_partitions_refuses_any_malformed_partition(base):
     assert serialize_partitions([]) == []
 
 
+@pytest.mark.parametrize(
+    "groups,n",
+    [([[1, 2], [], [3, 4, 5, 6]], 6), ([[1, 2, 3], [3, 4], [5, 6]], 6),
+     ([[1, 2], [4], [5, 6]], 6), ([[1, 2, 7], [3, 4], [5, 6]], 6), ([], 6), ([[1]], 0)],
+    ids=["empty", "overlap", "gap", "above-n", "no-subsets", "order-0"],
+)
+def test_a_bad_leaf_is_refused_with_the_well_formed_report(groups, n):
+    # the writer of search leaves checks their masks alone; a leaf that
+    # fails gets the report a Partition with those subsets would
+    masks = [IntSet(g).mask for g in groups]
+    good = [IntSet([1, 2]).mask, IntSet([3, 4, 5, 6]).mask]
+    with pytest.raises(InvalidPartitionError) as e:
+        partition._serialize_leaves(n, [good, masks] if n == 6 else [masks])
+    expected = well_formed_violations(Partition(tuple(IntSet(g) for g in groups), n))
+    assert list(e.value.violations) == expected != []
+
+
 # --- parser fuzzing: any text is a Partition or a WspFormatError ----------
 
 _WSP_PIECES = st.sampled_from(

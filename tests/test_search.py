@@ -26,8 +26,9 @@ from weakschur import (
     verify,
     weak_violations_naive,
 )
-from weakschur import search
-from weakschur.search import DEFAULT_BUDGET, _leaves, _partition_from, _search
+from weakschur import search, serialize_partitions
+from weakschur.partition import _serialize_leaves
+from weakschur.search import DEFAULT_BUDGET, _leaves, _partition_from, _search, _seed_leaves
 
 
 def weakly_sum_free(elems):
@@ -334,6 +335,43 @@ def test_find_seeds_past_the_cross_checked_orders_pass_validate_seed():
     for n in range(11, 41):
         for p in find_seeds(4, n, 100):
             assert not validate_seed(p).violations, (n, serialize_partition(p))
+
+
+# --- the CLI's seed path: the walk's colour masks straight to text ----------
+
+
+@pytest.mark.parametrize(
+    "s,n,limit,wide",
+    [(2, 5, 10, False), (2, 7, 10, False), (3, 12, 100, False), (3, 21, 10, False),
+     (4, 30, 200, False), (4, 40, 200, False), (5, 70, 100, False),
+     (3, 12, 100, True), (4, 40, 200, True), (12, 400, 3, False)],
+)
+def test_seed_leaves_write_the_texts_of_find_seeds(s, n, limit, wide):
+    # s * (n + 1) = 4812 bits at (12, 400): the per-colour walk by default
+    with per_colour_walk(wide):
+        texts = _serialize_leaves(n, _seed_leaves(s, n, limit, DEFAULT_BUDGET))
+        assert texts == serialize_partitions(find_seeds(s, n, limit))
+    assert len(texts) == {(2, 5): 2, (2, 7): 1, (3, 12): 75, (3, 21): 2}.get((s, n), limit)
+
+
+SEED_RULES = dict(no_double=True, special_first=True, seed_filters=True)
+
+
+@pytest.mark.parametrize(
+    "s,n,rules,stop_after,leaves",
+    [(3, 18, SEED_RULES, None, 38), (3, 23, SEED_RULES, None, 0), (3, 23, {}, None, 3),
+     (4, 40, SEED_RULES, 3000, 3000)],
+)
+def test_the_walks_emit_the_same_leaves_past_the_decoders_border(
+    s, n, rules, stop_after, leaves
+):
+    # the packed walk reads a leaf's colours of 1..n - 8 from a one-entry
+    # cache and the rest from M; the per-colour walk keeps one mask per
+    # colour.  The exhaustive cross-checks below stop at n = 10
+    packed = _walk(_search, stop_after, s=s, n=n, **rules)
+    with per_colour_walk(True):
+        assert _walk(_search, stop_after, s=s, n=n, **rules) == packed
+    assert len(packed[1]) == leaves
 
 
 # --- the explicit-stack loop against the recursive reference -------------------
